@@ -14,8 +14,8 @@ from .analysis import (LinearizedReceiver, achievable_rate, build_F,
 from .channel import (ChannelSpec, awgn, sigma2_from_ebn0, sigma2_to_snr_db,
                       snr_db_to_sigma2, spawn_rng)
 from .codebooks import (Codebook, build_gdr, build_onehot, data_rate,
-                        decode_batch, decode_top_m, gray_bit_errors,
-                        gray_bits, subset_codebook)
+                        decode_batch, gray_bit_errors, gray_bits,
+                        subset_codebook)
 from .errors import (CheckpointDimensionError, CheckpointError,
                      CheckpointTruncatedError, CheckpointVersionError,
                      ConfigError, DegenerateInputError, DomainError,
@@ -39,7 +39,7 @@ __all__ = [
     "ChannelSpec", "awgn", "sigma2_from_ebn0", "sigma2_to_snr_db",
     "snr_db_to_sigma2", "spawn_rng",
     "Codebook", "build_gdr", "build_onehot", "data_rate", "decode_batch",
-    "decode_top_m", "gray_bit_errors", "gray_bits", "subset_codebook",
+    "gray_bit_errors", "gray_bits", "subset_codebook",
     "CheckpointDimensionError", "CheckpointError", "CheckpointTruncatedError",
     "CheckpointVersionError", "ConfigError", "DegenerateInputError",
     "DomainError", "ShapeError", "SingularityError", "TrainingDivergedError",

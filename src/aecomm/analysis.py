@@ -15,6 +15,7 @@ import numpy as np
 
 from .codebooks import Codebook
 from .errors import DomainError, SingularityError
+from .metrics import CHUNK_BLOCKS
 from .nn import softmax
 
 DEFAULT_TAYLOR_ORDER = 20
@@ -103,7 +104,7 @@ def relu_activation_report(model, codebook: Codebook | None, sigma2: float,
     active = 0
     done = 0
     while done < samples:
-        b = min(samples - done, 1 << 16)
+        b = min(samples - done, CHUNK_BLOCKS)
         done += b
         ids = rng.integers(0, len(codebook), size=b)
         y = x[ids] + np.sqrt(sigma2) * rng.standard_normal((b, x.shape[1]))
@@ -128,6 +129,8 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
     softmax(W_r y + b_r), restricted to blocks where all relu units stay
     active; active_fraction reports how selective that restriction was.
     """
+    if not (np.isfinite(sigma2) and sigma2 >= 0):
+        raise DomainError(f"noise variance must be finite and non-negative, got {sigma2}")
     if codebook is None:
         codebook = model.codebook
     first = model.rx_layers[0]
@@ -155,7 +158,7 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
     sim_blocks = 0
     done = 0
     while done < samples:
-        b = min(samples - done, 1 << 16)
+        b = min(samples - done, CHUNK_BLOCKS)
         done += b
         ids = included[rng.integers(0, included.size, size=b)]
         y = x[ids] + np.sqrt(sigma2) * rng.standard_normal((b, x.shape[1]))

@@ -19,6 +19,9 @@ def sigma2_from_ebn0(rate: float, ebn0_db: float) -> float:
     """Noise variance per dimension at a given rate and Eb/N0 in dB."""
     if rate <= 0:
         raise DomainError(f"rate must be positive, got {rate}")
+    # NaN and -inf name no noise level; +inf is the noiseless point
+    if not ebn0_db > -np.inf:
+        raise DomainError(f"Eb/N0 must be a number above -inf dB, got {ebn0_db}")
     return 1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))
 
 
@@ -40,8 +43,8 @@ def awgn(x, sigma2, rng: np.random.Generator):
     variance per batch row, shaped (B, 1)). sigma2 = 0 returns x exactly.
     """
     sigma2 = np.asarray(sigma2, dtype=np.float64)
-    if np.any(sigma2 < 0):
-        raise DomainError("noise variance must be non-negative")
+    if not np.all(np.isfinite(sigma2) & (sigma2 >= 0)):
+        raise DomainError("noise variance must be finite and non-negative")
     x = np.asarray(x, dtype=np.float64)
     if np.all(sigma2 == 0):
         return x.copy()
@@ -57,6 +60,16 @@ class ChannelSpec:
     sigma2: float
     snr_kind: str = "snr_db"  # which convention snr_db quotes
     snr_db: float = 0.0
+
+    def __post_init__(self):
+        # snr_db = +inf is the noiseless point (sigma2 = 0); NaN is no point
+        if not (np.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise DomainError(f"noise variance must be finite and non-negative, "
+                              f"got {self.sigma2}")
+        if not np.isfinite(self.rate):
+            raise DomainError(f"rate must be finite, got {self.rate}")
+        if np.isnan(self.snr_db):
+            raise DomainError("SNR must not be NaN")
 
     @classmethod
     def from_ebn0(cls, n: int, rate: float, ebn0_db: float) -> "ChannelSpec":

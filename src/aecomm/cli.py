@@ -15,14 +15,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import adaptive as ad
 from . import analysis, figures, hamming, metrics
 from .channel import ChannelSpec, spawn_rng
 from .codebooks import build_gdr, build_onehot, data_rate
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .model import TrainingConfig, build_model, load_checkpoint, save_checkpoint, train
+
+
+def _axis_floats(parts, text: str) -> list[float]:
+    # NaN names no point; +-inf may (+inf SNR is the noiseless point) and
+    # is refused downstream where it does not
+    values = [float(p) for p in parts]
+    if any(math.isnan(v) for v in values):
+        raise DomainError(f"axis values must not be NaN, got {text!r}")
+    return values
 
 
 def parse_axis(text: str) -> list[float]:
@@ -32,7 +42,9 @@ def parse_axis(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"axis must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = _axis_floats(parts, text)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise DomainError(f"axis range must be finite, got {text!r}")
         if step <= 0:
             raise ConfigError(f"axis step must be positive, got {step}")
         if stop < start:
@@ -40,8 +52,8 @@ def parse_axis(text: str) -> list[float]:
         count = int((stop - start) / step + 1e-9) + 1
         return [start + i * step for i in range(count)]
     if "," in text:
-        return [float(p) for p in text.split(",") if p.strip()]
-    return [float(text)]
+        return _axis_floats([p for p in text.split(",") if p.strip()], text)
+    return _axis_floats([text], text)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -154,11 +154,17 @@ def decode_batch(p, codebook: Codebook) -> np.ndarray:
     lower index). If that support set is a codebook entry, returns its id;
     otherwise falls back to the entry whose support carries the largest
     probability mass (ties toward the lower message id).
+
+    For m=1 with ids in ascending support order (every codebook the
+    package builds) this is the first maximum over the kept columns.
     """
     pb = np.atleast_2d(np.asarray(p, dtype=np.float64))
-    if pb.shape[1] != codebook.M:
-        raise ShapeError(f"probability length {pb.shape[1]} != vector size {codebook.M}")
+    if pb.ndim != 2 or pb.shape[1] != codebook.M:
+        raise ShapeError(f"expected (rows, {codebook.M}) probabilities, got shape {pb.shape}")
     m = codebook.m
+    cols = codebook.supports[:, 0]
+    if m == 1 and np.all(np.diff(cols) > 0):
+        return np.argmax(pb if len(cols) == codebook.M else pb[:, cols], axis=1)
     # stable sort on -p keeps the lower index first among ties
     top = np.argsort(-pb, axis=1, kind="stable")[:, :m]
     masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), top.astype(np.uint64)), axis=1)
@@ -172,14 +178,6 @@ def decode_batch(p, codebook: Codebook) -> np.ndarray:
         mass = pb[miss] @ (codebook.entries > 0).T.astype(np.float64)
         ids[miss] = np.argmax(mass, axis=1)
     return ids
-
-
-def decode_top_m(p, codebook: Codebook) -> int:
-    """Decode a single received probability vector to a message id."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ShapeError(f"expected a 1-D probability vector, got ndim={p.ndim}")
-    return int(decode_batch(p[None, :], codebook)[0])
 
 
 def subset_codebook(codebook: Codebook, indices) -> tuple[Codebook, np.ndarray]:

@@ -11,6 +11,7 @@ import numpy as np
 
 from .channel import sigma2_from_ebn0
 from .errors import DomainError, ShapeError
+from .metrics import CHUNK_BLOCKS
 
 K_BITS = 4
 N_BITS = 7
@@ -121,7 +122,7 @@ def baseline_block_errors(scheme: str, ebn0_db: float, blocks: int, rng) -> dict
     block_errors = 0
     done = 0
     while done < blocks:
-        b = min(blocks - done, 1 << 16)
+        b = min(blocks - done, CHUNK_BLOCKS)
         done += b
         msg = rng.integers(0, 2, size=(b, K_BITS))
         if scheme == "uncoded_bpsk":

@@ -83,6 +83,9 @@ def estimate_bler(model, codebook: Codebook | None, spec: ChannelSpec,
 
     BER uses gray-coded message labels over the codebook's bits_per_message.
     MSE is the mean squared reconstruction error of the softmax output.
+    The transmitter output depends only on the message id, so it is
+    computed once per call for every entry, in chunks, and gathered per
+    block.
     """
     if blocks < 1:
         raise DomainError(f"blocks must be >= 1, got {blocks}")
@@ -92,6 +95,8 @@ def estimate_bler(model, codebook: Codebook | None, spec: ChannelSpec,
         scheme = "onehot" if codebook.m == 1 else "gdr"
     k_bits = codebook.bits_per_message
     count = len(codebook)
+    table = np.concatenate([model.transmit(codebook.entries[i:i + CHUNK_BLOCKS])
+                            for i in range(0, count, CHUNK_BLOCKS)])
 
     block_errors = 0
     bit_errors = 0
@@ -101,14 +106,15 @@ def estimate_bler(model, codebook: Codebook | None, spec: ChannelSpec,
         b = min(blocks - done, CHUNK_BLOCKS)
         done += b
         ids = rng.integers(0, count, size=b)
-        s = codebook.entries[ids]
-        x = model.transmit(s)
-        y = awgn(x, spec.sigma2, rng)
+        y = awgn(table[ids], spec.sigma2, rng)
         p = model.receive(y)
         ids_hat = decode_batch(p, codebook)
         block_errors += int(np.count_nonzero(ids_hat != ids))
         bit_errors += int(gray_bit_errors(ids, ids_hat).sum())
-        mse_sum += float(np.sum((p - s) ** 2))
+        # p - s in place: s is 1/m on each block's support and 0 elsewhere
+        p[np.arange(b)[:, None], codebook.supports[ids]] -= 1.0 / codebook.m
+        np.square(p, out=p)
+        mse_sum += float(np.sum(p))
 
     bits = blocks * k_bits
     return MetricRecord(

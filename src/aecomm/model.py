@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .channel import awgn, snr_db_to_sigma2
+from .channel import snr_db_to_sigma2
 from .codebooks import Codebook, build_gdr
 from .errors import (
     CheckpointDimensionError,
     CheckpointTruncatedError,
     CheckpointVersionError,
     ConfigError,
+    DomainError,
     TrainingDivergedError,
 )
 
@@ -83,13 +84,6 @@ class Autoencoder:
         first = self.rx_layers[0]
         return np.asarray(y) @ first.weights.T + first.bias
 
-    def end_to_end(self, message_ids, sigma2, rng) -> np.ndarray:
-        """Transmit message ids through the noisy channel and receive."""
-        s = self.codebook.encode(message_ids)
-        x = self.transmit(s)
-        y = awgn(x, sigma2, rng)
-        return self.receive(y)
-
     def params_checksum(self) -> str:
         digest = hashlib.sha256()
         for p in self.params():
@@ -137,6 +131,10 @@ class TrainingConfig:
             raise ConfigError("training_snr_db and training_snr_set_db are mutually exclusive")
         if self.training_snr_set_db is not None:
             self.training_snr_set_db = tuple(float(v) for v in self.training_snr_set_db)
+        snrs = self.training_snr_set_db or (self.training_snr_db,)
+        # NaN and -inf name no noise level; +inf is noiseless training
+        if not all(v > -np.inf for v in snrs):
+            raise DomainError(f"training SNRs must be numbers above -inf dB, got {snrs}")
         for name in ("epochs", "batch_size", "train_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -378,6 +376,8 @@ def load_checkpoint(path, expect_M: int | None = None,
             raise CheckpointDimensionError(
                 f"{path}: bias {dense_idx} has length {bias.shape[0]}, expected {out_dim}"
             )
+        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
+            raise DomainError(f"{path}: layer {dense_idx} has non-finite parameters")
         layers.append(nn.DenseLayer(weights, bias, activation))
         dense_idx += 1
     if reader.next_line() != "[end]":

@@ -27,21 +27,26 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     raise ShapeError(f"expected 1-D or 2-D input, got ndim={x.ndim}")
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
+def softmax(z: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Row-wise softmax with max subtraction for overflow safety.
+
+    overwrite=True lets the result replace z, saving a temporary.
+    """
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=z if overwrite else None)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
-def apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
+def apply_activation(kind: str, z: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """activation(z); overwrite=True lets relu and softmax reuse z's memory."""
     if kind == "linear":
         return z
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z if overwrite else None)
     if kind == "softmax":
-        return softmax(z)
+        return softmax(z, overwrite)
     if kind == "sigmoid":
         return 1.0 / (1.0 + np.exp(-z))
     if kind == "tanh":
@@ -102,7 +107,10 @@ class DenseLayer:
         xb, single = _as_batch(x)
         if xb.shape[1] != self.in_dim:
             raise ShapeError(f"input length {xb.shape[1]} != layer input size {self.in_dim}")
-        y = apply_activation(self.activation, xb @ self.weights.T + self.bias)
+        # z is this call's own product, so the activation may overwrite it
+        z = xb @ self.weights.T
+        z += self.bias
+        y = apply_activation(self.activation, z, overwrite=True)
         return y[0] if single else y
 
     def forward_cache(self, xb: np.ndarray):

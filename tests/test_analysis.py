@@ -136,3 +136,13 @@ def test_decomposition_rejects_model_with_no_active_entry():
     assert not np.any(np.all(u > 0, axis=1))  # precondition for this seed
     with pytest.raises(DomainError):
         mse_decomposition(model, None, 0.01, 100, spawn_rng(9, 0))
+
+
+def test_decomposition_rejects_bad_noise_variance():
+    from aecomm.codebooks import build_onehot
+    from aecomm.model import build_model
+
+    model = build_model(build_onehot(4), 7, seed=0)
+    for sigma2 in (-0.1, np.nan, np.inf):
+        with pytest.raises(DomainError, match="noise variance"):
+            mse_decomposition(model, None, sigma2, 100, spawn_rng(9, 0))

@@ -62,6 +62,26 @@ def test_awgn_rejects_negative_variance():
         awgn(np.zeros(3), -0.1, np.random.default_rng(0))
 
 
+def test_awgn_rejects_non_finite_variance():
+    for bad in (np.nan, np.inf, np.array([[0.1], [np.nan]])):
+        with pytest.raises(DomainError, match="finite"):
+            awgn(np.zeros((2, 3)), bad, np.random.default_rng(0))
+
+
+def test_channel_spec_rejects_non_finite_points():
+    for build in (lambda: ChannelSpec.from_snr_db(7, 4 / 7, np.nan),
+                  lambda: ChannelSpec.from_snr_db(7, 4 / 7, -np.inf),
+                  lambda: ChannelSpec.from_ebn0(7, 4 / 7, np.nan),
+                  lambda: ChannelSpec.from_ebn0(7, 4 / 7, -np.inf),
+                  lambda: ChannelSpec(n=7, rate=np.nan, sigma2=0.1),
+                  lambda: ChannelSpec(n=7, rate=4 / 7, sigma2=0.1, snr_db=np.nan)):
+        with pytest.raises(DomainError):
+            build()
+    # +inf SNR is the noiseless point
+    assert ChannelSpec.from_snr_db(7, 4 / 7, np.inf).sigma2 == 0.0
+    assert ChannelSpec.from_ebn0(7, 4 / 7, np.inf).sigma2 == 0.0
+
+
 def test_channel_spec_constructors():
     spec = ChannelSpec.from_ebn0(7, 4 / 7, 0.0)
     assert spec.snr_kind == "ebn0_db"

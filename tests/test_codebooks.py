@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aecomm.codebooks import (
     Codebook,
@@ -7,7 +10,6 @@ from aecomm.codebooks import (
     build_onehot,
     data_rate,
     decode_batch,
-    decode_top_m,
     gray_bit_errors,
     gray_bits,
     subset_codebook,
@@ -95,8 +97,12 @@ def test_decode_recovers_clean_entries():
 
 def test_decode_tie_goes_to_lower_index():
     cb = build_onehot(4)
-    assert decode_top_m(np.full(4, 0.25), cb) == 0
-    assert decode_top_m([0.1, 0.4, 0.4, 0.1], cb) == 1
+    np.testing.assert_array_equal(
+        decode_batch([np.full(4, 0.25), [0.1, 0.4, 0.4, 0.1]], cb), [0, 1])
+    # subset {1, 3}: the maximum at index 0 is not kept, and the kept
+    # columns tie, so the fallback takes the lower id
+    sub, _ = subset_codebook(cb, [1, 3])
+    np.testing.assert_array_equal(decode_batch([0.4, 0.2, 0.1, 0.2], sub), [0])
 
 
 def test_decode_fallback_uses_support_mass():
@@ -108,14 +114,62 @@ def test_decode_fallback_uses_support_mass():
     )
     p = np.array([0.1, 0.2, 0.3, 0.4])
     # masses: (0,1)=0.3 (0,2)=0.4 (0,3)=0.5 (1,2)=0.5 -> tie, lower id wins
-    assert decode_top_m(p, cb) == 2
+    np.testing.assert_array_equal(decode_batch(p, cb), [2])
 
 
 def test_decode_rejects_wrong_length():
     with pytest.raises(ShapeError):
-        decode_top_m(np.ones(5) / 5, build_onehot(4))
+        decode_batch(np.ones(5) / 5, build_onehot(4))
     with pytest.raises(ShapeError):
-        decode_top_m(np.ones((2, 4)), build_onehot(4))
+        decode_batch(np.ones((2, 2, 4)), build_onehot(4))
+
+
+def _reference_decode(p, cb):
+    """Row by row: the m largest indices by a stable sort, the entry with
+    that support, else the entry of largest support mass (lowest id)."""
+    by_support = {tuple(s): i for i, s in enumerate(cb.supports.tolist())}
+    out = []
+    for row in p.tolist():
+        top = tuple(sorted(sorted(range(cb.M), key=lambda j: -row[j])[:cb.m]))
+        if top in by_support:
+            out.append(by_support[top])
+        else:
+            mass = [sum(row[j] for j in s) for s in cb.supports.tolist()]
+            out.append(mass.index(max(mass)))
+    return np.array(out, dtype=np.int64)
+
+
+_DECODE_PARENTS = (
+    build_onehot(4), build_onehot(16), build_onehot(64),
+    build_gdr(8, 2), build_gdr(8, 3), build_gdr(8, 4),
+    build_gdr(16, 2, selection="random", selection_seed=5),
+)
+
+
+@st.composite
+def _decode_cases(draw):
+    """A codebook (full, or a subset as adaptive selection builds them) and
+    probabilities on a dyadic grid: coarse grids force exact ties, and
+    every support mass is an exact sum."""
+    cb = draw(st.sampled_from(_DECODE_PARENTS))
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([t for t in (2, 4, 8, 16) if t < len(cb)]))
+        kept = draw(st.lists(st.integers(0, len(cb) - 1), min_size=k, max_size=k,
+                             unique=True))
+        cb, _ = subset_codebook(cb, kept)
+    levels = draw(st.sampled_from((1, 2, 4, 1024)))
+    rows = draw(st.integers(1, 16))
+    grid = draw(arrays(np.int64, (rows, cb.M), elements=st.integers(0, levels)))
+    return cb, grid / levels
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decode_cases())
+def test_decode_batch_matches_brute_force_reference(case):
+    cb, p = case
+    before = p.copy()
+    np.testing.assert_array_equal(decode_batch(p, cb), _reference_decode(p, cb))
+    np.testing.assert_array_equal(p, before)
 
 
 def test_encode_rejects_out_of_range_ids():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aecomm import cli, figures, metrics
-from aecomm.errors import ConfigError, UnknownRecipeError
+from aecomm.errors import ConfigError, DomainError, UnknownRecipeError
 from aecomm.figures import RecipeContext, available_recipes, derive_seed, run_figure
 from aecomm.model import load_checkpoint, save_checkpoint
 
@@ -90,6 +90,16 @@ class TestParseAxis:
 
     def test_comma_list(self):
         assert cli.parse_axis("1,2,5") == [1.0, 2.0, 5.0]
+
+    def test_non_finite_values(self):
+        for text in ("nan", "1,nan", "0:nan:1"):
+            with pytest.raises(DomainError, match="NaN"):
+                cli.parse_axis(text)
+        for text in ("-inf:0:1", "0:1:inf"):
+            with pytest.raises(DomainError, match="finite"):
+                cli.parse_axis(text)
+        # an infinite point may name one (+inf SNR is noiseless); callers judge
+        assert cli.parse_axis("0,inf") == [0.0, float("inf")]
 
     def test_errors(self):
         with pytest.raises(ConfigError, match="start:stop:step"):
@@ -202,6 +212,44 @@ class TestCliWorkflow:
         err = capsys.readouterr().err
         assert err.startswith("error: FileNotFoundError:")
         assert err.count("\n") == 1
+
+    def test_non_finite_physics_inputs_are_one_line_errors(self, capsys, tmp_path):
+        ckpt = tmp_path / "m4.ckpt"
+        run_cli("train", "--M", 4, "--epochs", 1, "--train-samples", 200,
+                "--snr-db", 10, "--seed", 0, "--out", ckpt)
+        model = load_checkpoint(str(ckpt))
+        model.rx_layers[0].bias[0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(model, str(bad))
+        capsys.readouterr()
+        calls = [
+            ("evaluate", "--checkpoint", ckpt, "--snr", "nan", "--out", tmp_path / "e.csv"),
+            ("evaluate", "--checkpoint", ckpt, "--ebn0", "0,-inf", "--out", tmp_path / "e.csv"),
+            ("evaluate", "--checkpoint", ckpt, "--snr", "-inf", "--out", tmp_path / "e.csv"),
+            ("evaluate", "--checkpoint", bad, "--snr", "0", "--out", tmp_path / "e.csv"),
+            ("train", "--M", 4, "--epochs", 1, "--snr-db", "nan", "--out", tmp_path / "t.ckpt"),
+            ("train", "--M", 4, "--epochs", 1, "--snr-set", "0,nan", "--out", tmp_path / "t.ckpt"),
+            ("baseline", "--ebn0", "nan", "--out", tmp_path / "b.csv"),
+            ("baseline", "--ebn0", "-inf", "--out", tmp_path / "b.csv"),
+            ("analyze", "--checkpoint", ckpt, "--sigma2", "inf", "--out", tmp_path / "a.csv"),
+        ]
+        for argv in calls:
+            assert run_cli(*argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: DomainError: ") and err.count("\n") == 1, argv
+        for name in ("e.csv", "t.ckpt", "b.csv", "a.csv"):
+            assert not (tmp_path / name).exists()
+
+    def test_infinite_snr_is_the_noiseless_point(self, tmp_path):
+        ckpt = tmp_path / "m4.ckpt"
+        assert run_cli("train", "--M", 4, "--epochs", 1, "--train-samples", 200,
+                       "--snr-db", "inf", "--seed", 0, "--out", ckpt) == 0
+        for axis in ("--snr", "--ebn0"):
+            out = tmp_path / "e.csv"
+            assert run_cli("evaluate", "--checkpoint", ckpt, axis, "0,inf",
+                           "--blocks", 100, "--out", out) == 0
+            header, rows = metrics.read_csv(out)
+            assert [float(r["snr_db"]) for r in rows] == [0.0, float("inf")]
 
     def test_train_rejects_m_for_onehot(self, capsys, tmp_path):
         assert run_cli("train", "--codebook", "onehot", "--m", 2,

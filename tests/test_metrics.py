@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from aecomm.channel import ChannelSpec, spawn_rng
-from aecomm.codebooks import build_onehot
+from aecomm import metrics
+from aecomm.channel import ChannelSpec, awgn, spawn_rng
+from aecomm.codebooks import build_gdr, build_onehot, gray_bit_errors, subset_codebook
 from aecomm.errors import DomainError
 from aecomm.metrics import (
+    CHUNK_BLOCKS,
     EVALUATE_COLUMNS,
     estimate_bler,
     format_value,
@@ -45,6 +47,64 @@ def test_noiseless_mse_matches_direct_computation(model_zoo):
     s = model.codebook.entries[ids]
     p = model.receive(model.transmit(s))
     assert rec.mse == pytest.approx(float(np.mean(np.sum((p - s) ** 2, axis=1))))
+
+
+def _reference_estimate(model, codebook, spec, blocks, rng, chunk=CHUNK_BLOCKS):
+    """estimate_bler's counts the slow way, chunk by chunk: transmit the
+    gathered entries, decode by a stable sort of each row, build s for MSE."""
+    block_errors = bit_errors = 0
+    mse_sum = 0.0
+    for start in range(0, blocks, chunk):
+        ids = rng.integers(0, len(codebook), size=min(chunk, blocks - start))
+        s = codebook.entries[ids]
+        p = model.receive(awgn(model.transmit(s), spec.sigma2, rng))
+        top = np.sort(np.argsort(-p, axis=1, kind="stable")[:, :codebook.m], axis=1)
+        match = np.all(top[:, None, :] == codebook.supports[None, :, :], axis=2)
+        ids_hat = match.argmax(axis=1)
+        miss = ~match.any(axis=1)
+        ids_hat[miss] = p[miss][:, codebook.supports].sum(axis=2).argmax(axis=1)
+        block_errors += int(np.count_nonzero(ids_hat != ids))
+        bit_errors += int(gray_bit_errors(ids, ids_hat).sum())
+        mse_sum += float(np.sum((p - s) ** 2))
+    return block_errors, bit_errors, mse_sum / blocks
+
+
+@pytest.mark.parametrize("kind", ["onehot", "onehot_subset", "gdr", "gdr_subset"])
+def test_estimate_matches_reference_loop(kind):
+    codebook = build_onehot(16) if kind.startswith("onehot") else build_gdr(8, 4)
+    model = build_model(codebook, 7, seed=0)
+    if kind.endswith("subset"):
+        codebook, _ = subset_codebook(codebook, [13, 2, 7, 11, 4, 9, 0, 15])
+    for ebn0_db in (0.0, 8.0):
+        spec = ChannelSpec.from_ebn0(7, codebook.bits_per_message / 7, ebn0_db)
+        blocks = CHUNK_BLOCKS // 4  # one chunk, as the reference assumes
+        rec = estimate_bler(model, codebook, spec, blocks, spawn_rng(9, 0))
+        block_errors, bit_errors, mse = _reference_estimate(
+            model, codebook, spec, blocks, spawn_rng(9, 0))
+        assert rec.block_errors > 0
+        assert (rec.block_errors, rec.bit_errors) == (block_errors, bit_errors)
+        assert rec.mse == pytest.approx(mse, rel=1e-12)
+
+
+def test_estimate_transmits_its_symbol_table_in_chunks(monkeypatch):
+    codebook = build_onehot(16)
+    model = build_model(codebook, 7, seed=0)
+    spec = ChannelSpec.from_ebn0(7, 4 / 7, 4.0)
+    expected = _reference_estimate(model, codebook, spec, 500, spawn_rng(9, 1), chunk=5)
+    rows = []
+    transmit = model.transmit
+
+    def counting_transmit(s):
+        rows.append(len(s))
+        return transmit(s)
+
+    monkeypatch.setattr(model, "transmit", counting_transmit)
+    monkeypatch.setattr(metrics, "CHUNK_BLOCKS", 5)
+    rec = estimate_bler(model, codebook, spec, 500, spawn_rng(9, 1))
+    assert rows == [5, 5, 5, 1]
+    assert rec.block_errors > 0
+    assert (rec.block_errors, rec.bit_errors) == expected[:2]
+    assert rec.mse == pytest.approx(expected[2], rel=1e-12)
 
 
 def test_untrained_model_is_mostly_wrong():

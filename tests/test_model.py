@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from aecomm.channel import spawn_rng
 from aecomm.codebooks import build_gdr, build_onehot
 from aecomm.errors import (
     CheckpointDimensionError,
@@ -11,6 +10,7 @@ from aecomm.errors import (
     CheckpointVersionError,
     ConfigError,
     DegenerateInputError,
+    DomainError,
     TrainingDivergedError,
 )
 from aecomm.model import (
@@ -97,6 +97,13 @@ def test_training_config_validation():
         TrainingConfig(training_snr_db=10.0, epochs=0)
     with pytest.raises(ConfigError):
         TrainingConfig(training_snr_db=10.0, loss="hinge")
+    for bad in (dict(training_snr_db=float("nan")),
+                dict(training_snr_db=-np.inf),
+                dict(training_snr_set_db=(0.0, float("nan")))):
+        with pytest.raises(DomainError, match="above -inf"):
+            TrainingConfig(**bad)
+    # +inf is noiseless training
+    assert TrainingConfig(training_snr_set_db=(0.0, np.inf)).training_snr_set_db[1] == np.inf
     cfg = TrainingConfig(training_snr_set_db=[0, 10])
     assert cfg.training_snr_set_db == (0.0, 10.0)
     assert cfg.summary()["training_snr_set_db"] == [0.0, 10.0]
@@ -186,6 +193,15 @@ def test_checkpoint_rejects_dimension_mismatch(tmp_path):
         load_checkpoint(path, expect_n=2)
 
 
+def test_checkpoint_rejects_non_finite_parameters(tmp_path):
+    model = build_model(build_onehot(4), 7, seed=0)
+    model.rx_layers[0].bias[1] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(model, path)
+    with pytest.raises(DomainError, match="non-finite"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_bad_magic_and_version(tmp_path):
     model = build_model(build_onehot(4), 7, seed=0)
     path = tmp_path / "m4.ckpt"
@@ -227,5 +243,5 @@ def test_checkpoint_refuses_runtime_subset_codebooks(tmp_path):
 def test_end_to_end_noiseless_round_trip(model_zoo):
     model, _ = model_zoo(4, 1, 10.0, seed=2)
     ids = np.arange(4)
-    p = model.end_to_end(ids, 0.0, spawn_rng(0, 0))
+    p = model.receive(model.transmit(model.codebook.encode(ids)))
     assert np.all(np.argmax(p, axis=1) == ids)

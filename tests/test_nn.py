@@ -38,6 +38,19 @@ def test_dense_batch_matches_vector():
     np.testing.assert_array_equal(layer.forward(x), layer.forward(x[None, :])[0])
 
 
+@pytest.mark.parametrize("activation", ["linear", "relu", "softmax", "sigmoid", "tanh"])
+def test_dense_forward_matches_training_path_bit_for_bit(activation):
+    rng = np.random.default_rng(3)
+    layer = glorot_uniform_dense(16, 7, activation, rng)
+    layer.bias[:] = rng.standard_normal(16)
+    x = 3.0 * rng.standard_normal((50, 7))
+    x_before = x.copy()
+    y = layer.forward(x)
+    np.testing.assert_array_equal(x, x_before)
+    y_train, _ = layer.forward_cache(x)
+    np.testing.assert_array_equal(y, y_train)
+
+
 def test_dense_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         DenseLayer(np.zeros(4), np.zeros(4), "linear")
