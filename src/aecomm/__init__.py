@@ -7,15 +7,13 @@ Hamming(7,4)/BPSK baseline, softmax-linearization analysis, and seeded
 Monte Carlo sweeps with CSV output.
 """
 
-from .adaptive import (AdaptiveState, probe_mses, run_adaptive,
-                       run_adaptive_gdr, select_vectors, selected_codebook)
+from .adaptive import (AdaptiveState, probe_mses, run_adaptive, select_vectors,
+                       selected_codebook)
 from .analysis import (LinearizedReceiver, achievable_rate, build_F,
                        mse_decomposition, relu_activation_report)
-from .channel import (ChannelSpec, awgn, sigma2_from_ebn0, sigma2_to_snr_db,
-                      snr_db_to_sigma2, spawn_rng)
+from .channel import ChannelSpec, awgn, sigma2_from_ebn0, snr_db_to_sigma2, spawn_rng
 from .codebooks import (Codebook, build_gdr, build_onehot, data_rate,
-                        decode_batch, gray_bit_errors, gray_bits,
-                        subset_codebook)
+                        decode_batch, gray_bit_errors, subset_codebook)
 from .errors import (CheckpointDimensionError, CheckpointError,
                      CheckpointTruncatedError, CheckpointVersionError,
                      ConfigError, DegenerateInputError, DomainError,
@@ -32,14 +30,13 @@ from .nn import power_normalize, softmax
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveState", "probe_mses", "run_adaptive", "run_adaptive_gdr",
-    "select_vectors", "selected_codebook",
+    "AdaptiveState", "probe_mses", "run_adaptive", "select_vectors",
+    "selected_codebook",
     "LinearizedReceiver", "achievable_rate", "build_F", "mse_decomposition",
     "relu_activation_report",
-    "ChannelSpec", "awgn", "sigma2_from_ebn0", "sigma2_to_snr_db",
-    "snr_db_to_sigma2", "spawn_rng",
+    "ChannelSpec", "awgn", "sigma2_from_ebn0", "snr_db_to_sigma2", "spawn_rng",
     "Codebook", "build_gdr", "build_onehot", "data_rate", "decode_batch",
-    "gray_bit_errors", "gray_bits", "subset_codebook",
+    "gray_bit_errors", "subset_codebook",
     "CheckpointDimensionError", "CheckpointError", "CheckpointTruncatedError",
     "CheckpointVersionError", "ConfigError", "DegenerateInputError",
     "DomainError", "ShapeError", "SingularityError", "TrainingDivergedError",

@@ -100,19 +100,6 @@ def run_adaptive(model, spec: ChannelSpec, threshold: float, K: int,
     return state
 
 
-def run_adaptive_gdr(model, spec: ChannelSpec, threshold: float, K: int,
-                     rng) -> AdaptiveState:
-    """Same selection mechanics over an m-of-M codebook's 64 entries.
-
-    When M1 saturates at 64 the scheme coincides with plain fixed-codebook
-    transmission.
-    """
-    if model.codebook.m < 2:
-        raise DomainError("adaptive-gdr expects an m >= 2 codebook; "
-                          "use run_adaptive for one-hot")
-    return run_adaptive(model, spec, threshold, K, rng)
-
-
 def selected_codebook(model, state: AdaptiveState):
     """Restricted codebook over the fed-back entries, plus the parent ids."""
     return subset_codebook(model.codebook, state.feedback_labels)

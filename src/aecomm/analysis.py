@@ -31,17 +31,6 @@ class LinearizedReceiver:
         self.u = u
         self.all_active = bool(np.all(u > 0))
 
-    @property
-    def F(self) -> np.ndarray:
-        return np.diag(self.f_diag)
-
-    @property
-    def F_plus(self) -> np.ndarray:
-        if not self.all_active:
-            raise DomainError("reference activation has non-positive entries; "
-                              "the all-active form does not apply")
-        return self.F
-
     def predict(self, u) -> np.ndarray:
         """Approximate softmax output, F u."""
         return np.asarray(u, dtype=np.float64) * self.f_diag
@@ -133,8 +122,7 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
         raise DomainError(f"noise variance must be finite and non-negative, got {sigma2}")
     if codebook is None:
         codebook = model.codebook
-    first = model.rx_layers[0]
-    W_r, b_r = first.weights, first.bias
+    W_r, b_r = model.W3, model.b3
     x = model.transmit(codebook.entries)
     u0 = x @ W_r.T + b_r
     ok = np.all(np.abs(u0) >= u_min, axis=1) & np.all(u0 > 0, axis=1)

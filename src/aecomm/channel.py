@@ -30,12 +30,6 @@ def snr_db_to_sigma2(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def sigma2_to_snr_db(sigma2: float) -> float:
-    if sigma2 <= 0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
-    return -10.0 * np.log10(sigma2)
-
-
 def awgn(x, sigma2, rng: np.random.Generator):
     """y = x + n with n i.i.d. Normal(0, sigma2) per element.
 

@@ -193,14 +193,6 @@ def subset_codebook(codebook: Codebook, indices) -> tuple[Codebook, np.ndarray]:
     return sub, indices
 
 
-def gray_bits(message_id: int, k: int) -> np.ndarray:
-    """Binary-reflected gray code of a message id, k bits, MSB first."""
-    if message_id < 0 or message_id >= 1 << k:
-        raise DomainError(f"id {message_id} out of range for {k} bits")
-    g = message_id ^ (message_id >> 1)
-    return np.array([(g >> (k - 1 - i)) & 1 for i in range(k)], dtype=np.int64)
-
-
 def gray_bit_errors(ids_a, ids_b) -> np.ndarray:
     """Per-pair count of differing bits under gray-coded message labels."""
     a = np.asarray(ids_a, dtype=np.uint64)

@@ -2,7 +2,7 @@
 
 Transmitter: dense(M->M, relu), dense(M->n, linear), l2 power normalization.
 Receiver: dense(n->M, relu), dense(M->M, softmax). Training minimizes the
-reconstruction loss through an additive-noise channel layer, drawing fresh
+squared reconstruction error through additive channel noise, drawing fresh
 noise for every sample presentation.
 """
 
@@ -48,63 +48,60 @@ def theoretical_param_count(M: int, n: int) -> dict:
 
 
 class Autoencoder:
-    """Trained (or trainable) transmitter/receiver pair over one codebook."""
+    """Trained (or trainable) transmitter/receiver pair over one codebook.
 
-    def __init__(self, codebook: Codebook, n: int, tx_layers, rx_layers,
-                 training_summary: dict | None = None):
+    theta is the flat parameter buffer (see nn); W1, b1 and W2, b2 are the
+    transmitter's dense layers, W3, b3 and W4, b4 the receiver's, all views
+    into theta.
+    """
+
+    def __init__(self, codebook: Codebook, n: int, training_summary: dict | None = None):
         self.codebook = codebook
         self.n = n
-        self.tx_layers = list(tx_layers)
-        self.rx_layers = list(rx_layers)
+        self.theta = np.zeros(nn.param_count(codebook.M, n))
+        (self.W1, self.b1, self.W2, self.b2,
+         self.W3, self.b3, self.W4, self.b4) = self.params()
         self.training_summary = training_summary
 
     @property
     def M(self) -> int:
         return self.codebook.M
 
-    def layers(self) -> list:
-        return self.tx_layers + self.rx_layers
-
     def params(self) -> list[np.ndarray]:
-        return nn.network_params(self.layers())
+        return nn.split(self.theta, self.M, self.n)
 
     def num_parameters(self) -> int:
-        return sum(layer.param_count() for layer in self.layers())
+        return self.theta.size
 
     def transmit(self, s):
         """Codebook vector(s) -> power-normalized channel symbols."""
-        return nn.forward_pass(self.tx_layers, s)
+        sb, single = nn.as_batch(s, self.M)
+        h = nn.dense(sb, self.W1, self.b1, nn.relu)
+        x = nn.power_normalize(nn.dense(h, self.W2, self.b2))
+        return x[0] if single else x
 
     def receive(self, y):
         """Channel output(s) -> softmax probability vector(s)."""
-        return nn.forward_pass(self.rx_layers, y)
+        yb, single = nn.as_batch(y, self.n)
+        h = nn.dense(yb, self.W3, self.b3, nn.relu)
+        p = nn.dense(h, self.W4, self.b4, nn.softmax)
+        return p[0] if single else p
 
     def receiver_preactivation(self, y):
-        """Affine part of the receiver relu layer, W_r y + b_r (no clipping)."""
-        first = self.rx_layers[0]
-        return np.asarray(y) @ first.weights.T + first.bias
+        """Affine part of the receiver relu layer, W3 y + b3 (no clipping)."""
+        return np.asarray(y) @ self.W3.T + self.b3
 
     def params_checksum(self) -> str:
-        digest = hashlib.sha256()
-        for p in self.params():
-            digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
-        return digest.hexdigest()
+        return hashlib.sha256(np.ascontiguousarray(self.theta, dtype="<f8")).hexdigest()
 
 
 def build_model(codebook: Codebook, n: int, seed=0) -> Autoencoder:
-    """Fresh autoencoder with seeded uniform weight initialization."""
-    M = codebook.M
+    """Fresh autoencoder with seeded uniform weights and zero biases."""
     rng = np.random.default_rng(seed)
-    tx = [
-        nn.glorot_uniform_dense(M, M, "relu", rng),
-        nn.glorot_uniform_dense(n, M, "linear", rng),
-        nn.PowerNormLayer(n),
-    ]
-    rx = [
-        nn.glorot_uniform_dense(M, n, "relu", rng),
-        nn.glorot_uniform_dense(M, M, "softmax", rng),
-    ]
-    return Autoencoder(codebook, n, tx, rx)
+    model = Autoencoder(codebook, n)
+    for W in (model.W1, model.W2, model.W3, model.W4):
+        W[...] = nn.glorot_uniform(*W.shape, rng)
+    return model
 
 
 @dataclass
@@ -114,15 +111,10 @@ class TrainingConfig:
     epochs: int = 150
     batch_size: int = 45
     train_samples: int = 20000
-    test_samples: int = 1_000_000
-    loss: str = "mse"
     training_snr_db: float | None = None
     training_snr_set_db: tuple | None = None
     seed: int = 0
     learning_rate: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.training_snr_db is None and not self.training_snr_set_db:
@@ -138,15 +130,13 @@ class TrainingConfig:
         for name in ("epochs", "batch_size", "train_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.loss not in nn.LOSSES:
-            raise ConfigError(f"loss must be one of {nn.LOSSES}, got {self.loss!r}")
 
     def summary(self) -> dict:
         d = {
             "epochs": self.epochs,
             "batch_size": self.batch_size,
             "train_samples": self.train_samples,
-            "loss": self.loss,
+            "loss": "mse",  # the only loss; kept so summaries keep their bytes
             "seed": self.seed,
             "learning_rate": self.learning_rate,
         }
@@ -184,12 +174,8 @@ def train(model: Autoencoder, config: TrainingConfig) -> TrainingTrace:
     """
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
-    noise_layer = nn.AdditiveOffset(model.n)
-    stack = model.tx_layers + [noise_layer] + model.rx_layers
-    params = nn.network_params(stack)
-    adam = nn.AdamState(params, learning_rate=config.learning_rate,
-                        beta1=config.adam_beta1, beta2=config.adam_beta2,
-                        epsilon=config.adam_epsilon)
+    params = model.params()
+    adam = nn.AdamState(model.theta.size, config.learning_rate)
     count = len(model.codebook)
     n = model.n
     if config.training_snr_set_db is not None:
@@ -211,11 +197,11 @@ def train(model: Autoencoder, config: TrainingConfig) -> TrainingTrace:
                 sigma2 = snr_db_to_sigma2(snrs)[:, None]
             else:
                 sigma2 = fixed_sigma
-            noise_layer.offset = np.sqrt(sigma2) * rng.standard_normal((b, n))
-            loss, grads, _ = nn.backward_pass(stack, s, s, config.loss)
+            noise = np.sqrt(sigma2) * rng.standard_normal((b, n))
+            loss, grad, _ = nn.backward_pass(params, s, noise)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, loss)
-            nn.adam_step(adam, params, nn.flatten_grads(grads))
+            nn.adam_step(adam, model.theta, grad)
             loss_sum += loss * b
         trace.epoch_losses.append(loss_sum / config.train_samples)
 
@@ -229,6 +215,25 @@ def _format_floats(row) -> str:
     return " ".join(format(v, ".17g") for v in row)
 
 
+def _architecture_lines(M: int, n: int) -> list[str]:
+    """The [architecture] block: the fixed topology, spelled out for (M, n)."""
+    return [
+        f"n = {n}",
+        f"layer = dense relu {M} {M}",
+        f"layer = dense linear {n} {M}",
+        f"layer = power_norm {n}",
+        f"layer = dense relu {M} {n}",
+        f"layer = dense softmax {M} {M}",
+        "tx_layers = 3",
+    ]
+
+
+def _dense_pairs(model: Autoencoder) -> list:
+    """(weights, bias) views of the four dense layers, in checkpoint order."""
+    params = model.params()
+    return list(zip(params[0::2], params[1::2]))
+
+
 def save_checkpoint(model: Autoencoder, path) -> None:
     """Write a versioned text checkpoint; reload is bit-exact."""
     cb = model.codebook
@@ -239,28 +244,15 @@ def save_checkpoint(model: Autoencoder, path) -> None:
     for key, value in cb.manifest().items():
         lines.append(f"{key} = {value}")
     lines.append("[architecture]")
-    lines.append(f"n = {model.n}")
-    for layer in model.layers():
-        if isinstance(layer, nn.DenseLayer):
-            lines.append(f"layer = dense {layer.activation} {layer.out_dim} {layer.in_dim}")
-        elif isinstance(layer, nn.PowerNormLayer):
-            lines.append(f"layer = power_norm {layer.dim}")
-        else:
-            raise ConfigError(f"cannot serialize layer type {type(layer).__name__}")
-    lines.append(f"tx_layers = {len(model.tx_layers)}")
+    lines.extend(_architecture_lines(model.M, model.n))
     lines.append("[training]")
     lines.append("config = " + json.dumps(model.training_summary, sort_keys=True))
     lines.append("[parameters]")
-    idx = 0
-    for layer in model.layers():
-        if not isinstance(layer, nn.DenseLayer):
-            continue
-        lines.append(f"weights {idx} {layer.out_dim} {layer.in_dim}")
-        for row in layer.weights:
-            lines.append(_format_floats(row))
-        lines.append(f"bias {idx} {layer.out_dim}")
-        lines.append(_format_floats(layer.bias))
-        idx += 1
+    for idx, (weights, bias) in enumerate(_dense_pairs(model)):
+        lines.append(f"weights {idx} {weights.shape[0]} {weights.shape[1]}")
+        lines.extend(_format_floats(row) for row in weights)
+        lines.append(f"bias {idx} {bias.shape[0]}")
+        lines.append(_format_floats(bias))
     lines.append("[end]")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -332,54 +324,47 @@ def load_checkpoint(path, expect_M: int | None = None,
 
     reader.expect_section("architecture")
     n = int(reader.key_value("n"))
-    layer_specs = []
-    while True:
-        line = reader.next_line()
-        if line.startswith("tx_layers = "):
-            n_tx = int(line.split(" = ")[1])
-            break
-        if not line.startswith("layer = "):
-            raise CheckpointTruncatedError(f"{path}: malformed architecture line {line!r}")
-        layer_specs.append(line[len("layer = "):].split())
+    expected = _architecture_lines(M, n)
+    block = [f"n = {n}"] + [reader.next_line() for _ in expected[1:]]
+    if block != expected:
+        raise CheckpointDimensionError(
+            f"{path}: [architecture] is not the fixed autoencoder topology for M={M}, n={n}"
+        )
 
     reader.expect_section("training")
     training_summary = json.loads(reader.key_value("config"))
 
     reader.expect_section("parameters")
-    layers = []
-    dense_idx = 0
-    for spec in layer_specs:
-        if spec[0] == "power_norm":
-            layers.append(nn.PowerNormLayer(int(spec[1])))
-            continue
-        activation, out_dim, in_dim = spec[1], int(spec[2]), int(spec[3])
+    model = Autoencoder(codebook, n, training_summary=training_summary)
+    for idx, (W, b) in enumerate(_dense_pairs(model)):
+        out_dim, in_dim = W.shape
         head = reader.next_line().split()
-        if head[:2] != ["weights", str(dense_idx)]:
-            raise CheckpointTruncatedError(f"{path}: expected weights {dense_idx}, found {head}")
+        if head[:2] != ["weights", str(idx)]:
+            raise CheckpointTruncatedError(f"{path}: expected weights {idx}, found {head}")
         if [int(head[2]), int(head[3])] != [out_dim, in_dim]:
             raise CheckpointDimensionError(
-                f"{path}: weights {dense_idx} declared {head[2]}x{head[3]}, "
+                f"{path}: weights {idx} declared {head[2]}x{head[3]}, "
                 f"architecture says {out_dim}x{in_dim}"
             )
         rows = [reader.next_line().split() for _ in range(out_dim)]
         weights = np.array(rows, dtype=np.float64)
         if weights.shape != (out_dim, in_dim):
             raise CheckpointDimensionError(
-                f"{path}: weights {dense_idx} matrix is {weights.shape}, "
+                f"{path}: weights {idx} matrix is {weights.shape}, "
                 f"expected {(out_dim, in_dim)}"
             )
         head = reader.next_line().split()
-        if head[:2] != ["bias", str(dense_idx)]:
-            raise CheckpointTruncatedError(f"{path}: expected bias {dense_idx}, found {head}")
+        if head[:2] != ["bias", str(idx)]:
+            raise CheckpointTruncatedError(f"{path}: expected bias {idx}, found {head}")
         bias = np.array(reader.next_line().split(), dtype=np.float64)
         if bias.shape != (out_dim,):
             raise CheckpointDimensionError(
-                f"{path}: bias {dense_idx} has length {bias.shape[0]}, expected {out_dim}"
+                f"{path}: bias {idx} has length {bias.shape[0]}, expected {out_dim}"
             )
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
-            raise DomainError(f"{path}: layer {dense_idx} has non-finite parameters")
-        layers.append(nn.DenseLayer(weights, bias, activation))
-        dense_idx += 1
+            raise DomainError(f"{path}: layer {idx} has non-finite parameters")
+        W[...] = weights
+        b[...] = bias
     if reader.next_line() != "[end]":
         raise CheckpointTruncatedError(f"{path}: missing [end] marker")
 
@@ -391,5 +376,4 @@ def load_checkpoint(path, expect_M: int | None = None,
         raise CheckpointDimensionError(
             f"{path}: checkpoint has n={n}, experiment expects n={expect_n}"
         )
-    return Autoencoder(codebook, n, layers[:n_tx], layers[n_tx:],
-                       training_summary=training_summary)
+    return model

@@ -1,30 +1,66 @@
-"""Minimal dense-network engine: forward/backward passes, losses, Adam.
+"""The fixed autoencoder's forward/backward pass on one flat parameter buffer, Adam.
 
-All arrays are float64. Layers accept a single vector (1-D) or a batch
-(2-D, one row per sample) and return the matching shape. Forward passes
-are pure; training mutates parameters through adam_step only.
+The topology is dense(M->M, relu), dense(M->n, linear), l2 power
+normalization, additive channel noise, dense(n->M, relu), dense(M->M,
+softmax), trained on the squared reconstruction error. Its parameters live
+in one float64 buffer theta, ordered W1, b1, W2, b2, W3, b3, W4, b4, each W
+of shape (out, in) and applied as x @ W.T + b. Adam updates the whole buffer
+at once.
 """
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, ShapeError
+from .errors import DegenerateInputError, ShapeError
 
-ACTIVATIONS = ("linear", "relu", "softmax", "sigmoid", "tanh")
-LOSSES = ("mse", "categorical_cross_entropy")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 DEGENERATE_NORM_FLOOR = 1e-12
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    """Promote a vector to a one-row batch; report whether it was 1-D."""
+def param_shapes(M: int, n: int) -> tuple:
+    """Shapes of W1, b1, W2, b2, W3, b3, W4, b4 in buffer order."""
+    return ((M, M), (M,), (n, M), (n,), (M, n), (M,), (M, M), (M,))
+
+
+def param_count(M: int, n: int) -> int:
+    return sum(prod(shape) for shape in param_shapes(M, n))
+
+
+def split(buffer: np.ndarray, M: int, n: int) -> list[np.ndarray]:
+    """The eight parameter-shaped views into a flat buffer, in buffer order."""
+    views = []
+    offset = 0
+    for shape in param_shapes(M, n):
+        size = prod(shape)
+        views.append(buffer[offset:offset + size].reshape(shape))
+        offset += size
+    return views
+
+
+def glorot_uniform(out_dim: int, in_dim: int, rng: np.random.Generator) -> np.ndarray:
+    """(out, in) weights drawn uniformly from +-sqrt(6/(fan_in+fan_out))."""
+    limit = np.sqrt(6.0 / (in_dim + out_dim))
+    return rng.uniform(-limit, limit, size=(out_dim, in_dim))
+
+
+def as_batch(x, width: int | None = None) -> tuple[np.ndarray, bool]:
+    """Promote a vector to a one-row batch; report whether it was 1-D.
+
+    A given width is checked against the row length.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim == 2:
-        return x, False
-    raise ShapeError(f"expected 1-D or 2-D input, got ndim={x.ndim}")
+    if x.ndim not in (1, 2):
+        raise ShapeError(f"expected 1-D or 2-D input, got ndim={x.ndim}")
+    xb = x[None, :] if x.ndim == 1 else x
+    if width is not None and xb.shape[1] != width:
+        raise ShapeError(f"input length {xb.shape[1]} != layer input size {width}")
+    return xb, x.ndim == 1
 
 
 def softmax(z: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -39,309 +75,119 @@ def softmax(z: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return e
 
 
-def apply_activation(kind: str, z: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """activation(z); overwrite=True lets relu and softmax reuse z's memory."""
-    if kind == "linear":
-        return z
-    if kind == "relu":
-        return np.maximum(z, 0.0, out=z if overwrite else None)
-    if kind == "softmax":
-        return softmax(z, overwrite)
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    if kind == "tanh":
-        return np.tanh(z)
-    raise DomainError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
+def relu(z: np.ndarray) -> np.ndarray:
+    """max(z, 0), written over z."""
+    return np.maximum(z, 0.0, out=z)
 
 
-def _activation_backward(kind: str, grad_y: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. pre-activation z given gradient w.r.t. output y."""
-    if kind == "linear":
-        return grad_y
-    if kind == "relu":
-        return grad_y * (z > 0.0)
-    if kind == "softmax":
-        # J^T g with J = diag(y) - y y^T, row-wise
-        dot = np.sum(grad_y * y, axis=-1, keepdims=True)
-        return y * (grad_y - dot)
-    if kind == "sigmoid":
-        return grad_y * y * (1.0 - y)
-    if kind == "tanh":
-        return grad_y * (1.0 - y * y)
-    raise DomainError(f"unknown activation {kind!r}")
+def dense(x: np.ndarray, W: np.ndarray, b: np.ndarray, activation=None) -> np.ndarray:
+    """activation(x @ W.T + b) for a batch; bias and activation work in place
+    on the product, which belongs to this call. activation is relu, softmax
+    or None (linear)."""
+    z = x @ W.T
+    z += b
+    if activation is relu:
+        return relu(z)
+    if activation is softmax:
+        return softmax(z, overwrite=True)
+    return z
 
 
-class DenseLayer:
-    """Fully connected layer: activation(W x + b), W of shape (out, in)."""
-
-    def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str):
-        weights = np.asarray(weights, dtype=np.float64)
-        bias = np.asarray(bias, dtype=np.float64)
-        if weights.ndim != 2:
-            raise ShapeError(f"weights must be 2-D, got ndim={weights.ndim}")
-        if bias.shape != (weights.shape[0],):
-            raise ShapeError(
-                f"bias length {bias.shape} does not match weight rows {weights.shape[0]}"
-            )
-        if activation not in ACTIVATIONS:
-            raise DomainError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
-        self.weights = weights
-        self.bias = bias
-        self.activation = activation
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
-    def params(self) -> list[np.ndarray]:
-        return [self.weights, self.bias]
-
-    def param_count(self) -> int:
-        return self.weights.size + self.bias.size
-
-    def forward(self, x):
-        xb, single = _as_batch(x)
-        if xb.shape[1] != self.in_dim:
-            raise ShapeError(f"input length {xb.shape[1]} != layer input size {self.in_dim}")
-        # z is this call's own product, so the activation may overwrite it
-        z = xb @ self.weights.T
-        z += self.bias
-        y = apply_activation(self.activation, z, overwrite=True)
-        return y[0] if single else y
-
-    def forward_cache(self, xb: np.ndarray):
-        z = xb @ self.weights.T + self.bias
-        y = apply_activation(self.activation, z)
-        return y, (xb, z, y)
-
-    def backward(self, grad_y: np.ndarray, cache):
-        xb, z, y = cache
-        gz = _activation_backward(self.activation, grad_y, z, y)
-        grad_w = gz.T @ xb
-        grad_b = gz.sum(axis=0)
-        grad_x = gz @ self.weights
-        return grad_x, [grad_w, grad_b]
-
-
-def power_normalize(x):
-    """Scale each vector to unit average symbol power: sqrt(n) * x / ||x||."""
-    xb, single = _as_batch(x)
-    n = xb.shape[1]
-    norms = np.linalg.norm(xb, axis=1, keepdims=True)
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Per-row l2 norms, shaped (B, 1); a dead transmitter output is refused."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
     if np.any(norms < DEGENERATE_NORM_FLOOR):
         raise DegenerateInputError(
             f"vector norm below {DEGENERATE_NORM_FLOOR:g}; transmitter output is dead"
         )
-    y = np.sqrt(n) * xb / norms
+    return norms
+
+
+def power_normalize(x):
+    """Scale each vector to unit average symbol power: sqrt(n) * x / ||x||.
+
+    Training scales by (sqrt(n) / ||x||) * x instead (backward_pass). The two
+    orders round differently; merging them would move either the evaluation
+    CSV bytes or the trained weights, so both are kept.
+    """
+    xb, single = as_batch(x)
+    y = np.sqrt(xb.shape[1]) * xb / _row_norms(xb)
     return y[0] if single else y
 
 
-class PowerNormLayer:
-    """Parameterless per-example l2 power normalization, output mean square = 1."""
+def backward_pass(params, s: np.ndarray, noise):
+    """Forward one (B, M) message batch through the channel, backpropagate.
 
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    @property
-    def in_dim(self) -> int:
-        return self.dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.dim
-
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    def param_count(self) -> int:
-        return 0
-
-    def forward(self, x):
-        return power_normalize(x)
-
-    def forward_cache(self, xb: np.ndarray):
-        norms = np.linalg.norm(xb, axis=1, keepdims=True)
-        if np.any(norms < DEGENERATE_NORM_FLOOR):
-            raise DegenerateInputError(
-                f"vector norm below {DEGENERATE_NORM_FLOOR:g}; transmitter output is dead"
-            )
-        scale = np.sqrt(self.dim) / norms
-        y = scale * xb
-        return y, (xb, norms, scale)
-
-    def backward(self, grad_y: np.ndarray, cache):
-        xb, norms, scale = cache
-        # d/dx of sqrt(n) x/||x||: scale * (g - x (x.g)/||x||^2)
-        proj = np.sum(xb * grad_y, axis=1, keepdims=True) / (norms * norms)
-        grad_x = scale * (grad_y - xb * proj)
-        return grad_x, []
-
-
-class AdditiveOffset:
-    """Adds a fixed offset to its input; gradient passes through unchanged.
-
-    Holds the realized channel noise when training end to end through the
-    channel: set .offset per batch before running the backward pass.
+    params are the eight views of theta (split); s is both the input and the
+    target; noise is added to the power-normalized symbols (a (B, n) draw,
+    or 0.0 for a noiseless pass). Returns (loss, grad, p): the batch mean of
+    the per-sample squared error, its gradient as a flat buffer in theta's
+    order, and the softmax output.
     """
+    W1, b1, W2, b2, W3, b3, W4, b4 = params
+    n, M = W2.shape
+    grad = np.empty(param_count(M, n))
+    gW1, gb1, gW2, gb2, gW3, gb3, gW4, gb4 = split(grad, M, n)
 
-    def __init__(self, dim: int, offset=0.0):
-        self.dim = dim
-        self.offset = offset
+    h1 = dense(s, W1, b1, relu)
+    z2 = dense(h1, W2, b2)
+    norms = _row_norms(z2)
+    scale = np.sqrt(n) / norms
+    y = scale * z2
+    y += noise
+    h3 = dense(y, W3, b3, relu)
+    p = dense(h3, W4, b4, softmax)
 
-    @property
-    def in_dim(self) -> int:
-        return self.dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.dim
-
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    def param_count(self) -> int:
-        return 0
-
-    def forward(self, x):
-        xb, single = _as_batch(x)
-        y = xb + self.offset
-        return y[0] if single else y
-
-    def forward_cache(self, xb: np.ndarray):
-        return xb + self.offset, None
-
-    def backward(self, grad_y: np.ndarray, cache):
-        return grad_y, []
-
-
-def forward_pass(layers, x):
-    """Run a stack of layers on a vector or batch."""
-    out = x
-    for layer in layers:
-        out = layer.forward(out)
-    return out
-
-
-def loss_eval(kind: str, target, prediction):
-    """Evaluate a loss between target and prediction vectors (or batches).
-
-    mse is the squared l2 distance; categorical cross-entropy is
-    -sum(s_i log p_i) and requires strictly positive predictions.
-    Returns a scalar for vector inputs, a per-row array for batches.
-    """
-    s, s_single = _as_batch(target)
-    p, p_single = _as_batch(prediction)
-    if s.shape != p.shape:
-        raise ShapeError(f"target shape {s.shape} != prediction shape {p.shape}")
-    if kind == "mse":
-        d = s - p
-        out = np.sum(d * d, axis=1)
-    elif kind == "categorical_cross_entropy":
-        if np.any(p <= 0.0):
-            raise DomainError("cross-entropy requires strictly positive predictions")
-        out = -np.sum(s * np.log(p), axis=1)
-    else:
-        raise DomainError(f"unknown loss {kind!r}; expected one of {LOSSES}")
-    return float(out[0]) if (s_single and p_single) else out
-
-
-def _loss_grad(kind: str, s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Gradient of the per-sample loss w.r.t. the prediction."""
-    if kind == "mse":
-        return 2.0 * (p - s)
-    if kind == "categorical_cross_entropy":
-        if np.any(p <= 0.0):
-            raise DomainError("cross-entropy requires strictly positive predictions")
-        return -s / p
-    raise DomainError(f"unknown loss {kind!r}; expected one of {LOSSES}")
-
-
-def backward_pass(layers, x, target, loss_kind: str = "mse"):
-    """Forward then backpropagate; returns (loss, grads, prediction).
-
-    For a batch the loss is the mean per-sample loss and the gradients
-    are of that mean. grads is a list with one entry per layer, each a
-    list matching layer.params() (empty for parameterless layers).
-    """
-    xb, single = _as_batch(x)
-    sb, _ = _as_batch(target)
-    caches = []
-    out = xb
-    for layer in layers:
-        out, cache = layer.forward_cache(out)
-        caches.append(cache)
-    if sb.shape != out.shape:
-        raise ShapeError(f"target shape {sb.shape} != prediction shape {out.shape}")
-    per_sample = loss_eval(loss_kind, sb, out)
-    loss = float(np.mean(per_sample))
-    grad = _loss_grad(loss_kind, sb, out) / out.shape[0]
-    grads = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        grad, param_grads = layers[i].backward(grad, caches[i])
-        grads[i] = param_grads
-    prediction = out[0] if single else out
-    return loss, grads, prediction
+    d = s - p
+    loss = float(np.mean(np.sum(d * d, axis=1)))
+    g = 2.0 * (p - s) / s.shape[0]
+    # softmax Jacobian J = diag(p) - p p^T, applied row-wise
+    g = p * (g - np.sum(g * p, axis=1, keepdims=True))
+    np.matmul(g.T, h3, out=gW4)
+    np.sum(g, axis=0, out=gb4)
+    g = g @ W4
+    # h > 0 exactly where z > 0, NaN included
+    g *= h3 > 0.0
+    np.matmul(g.T, y, out=gW3)
+    np.sum(g, axis=0, out=gb3)
+    g = g @ W3
+    # the noise passes the gradient through; d/dz of sqrt(n) z/||z|| is
+    # scale * (g - z (z.g)/||z||^2)
+    proj = np.sum(z2 * g, axis=1, keepdims=True) / (norms * norms)
+    g = scale * (g - z2 * proj)
+    np.matmul(g.T, h1, out=gW2)
+    np.sum(g, axis=0, out=gb2)
+    g = g @ W2
+    g *= h1 > 0.0
+    np.matmul(g.T, s, out=gW1)
+    np.sum(g, axis=0, out=gb1)
+    return loss, grad, p
 
 
 class AdamState:
-    """Adam optimizer state: step count and per-parameter moment estimates."""
+    """Adam optimizer state over a flat parameter buffer of `size` entries."""
 
-    def __init__(self, params, learning_rate: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, size: int, learning_rate: float = 0.001):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step = 0
-        self.first_moment = [np.zeros_like(p) for p in params]
-        self.second_moment = [np.zeros_like(p) for p in params]
+        self.first_moment = np.zeros(size)
+        self.second_moment = np.zeros(size)
 
 
-def adam_step(state: AdamState, params, grads):
-    """One Adam update with bias correction; mutates params in place."""
-    if len(params) != len(state.first_moment):
+def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
+    """One Adam update with bias correction (Kingma & Ba, arXiv:1412.6980);
+    mutates theta and the moments in place."""
+    if theta.shape != state.first_moment.shape or grad.shape != theta.shape:
         raise ShapeError(
-            f"parameter count {len(params)} != optimizer state size {len(state.first_moment)}"
+            f"parameters {theta.shape}, gradient {grad.shape} and optimizer "
+            f"state {state.first_moment.shape} must match"
         )
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
-    return params, state
-
-
-def glorot_uniform_dense(out_dim: int, in_dim: int, activation: str,
-                         rng: np.random.Generator) -> DenseLayer:
-    """Dense layer with uniform(+-sqrt(6/(fan_in+fan_out))) weights, zero bias."""
-    limit = np.sqrt(6.0 / (in_dim + out_dim))
-    weights = rng.uniform(-limit, limit, size=(out_dim, in_dim))
-    bias = np.zeros(out_dim)
-    return DenseLayer(weights, bias, activation)
-
-
-def network_params(layers) -> list[np.ndarray]:
-    """Flat list of every trainable array in layer order."""
-    out = []
-    for layer in layers:
-        out.extend(layer.params())
-    return out
-
-
-def flatten_grads(grads) -> list[np.ndarray]:
-    """Flatten backward_pass gradient structure to match network_params order."""
-    out = []
-    for gs in grads:
-        out.extend(gs)
-    return out
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
+    m, v = state.first_moment, state.second_moment
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grad * grad)
+    theta -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)

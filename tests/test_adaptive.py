@@ -5,12 +5,11 @@ from aecomm.adaptive import (
     AdaptiveState,
     probe_mses,
     run_adaptive,
-    run_adaptive_gdr,
     select_vectors,
     selected_codebook,
 )
 from aecomm.channel import ChannelSpec, spawn_rng
-from aecomm.codebooks import build_gdr, build_onehot, data_rate
+from aecomm.codebooks import build_onehot
 from aecomm.errors import DomainError
 from aecomm.model import build_model
 
@@ -119,21 +118,6 @@ def test_run_adaptive_reports_rate():
     st = run_adaptive(model, spec, -1.0, 1, spawn_rng(0, 0))
     assert st.outage and st.M1 == 4
     assert st.rate_bits_per_use == pytest.approx(2 / 7)
-
-
-def test_run_adaptive_gdr_rejects_onehot():
-    model = build_model(build_onehot(64), 7, seed=0)
-    spec = ChannelSpec.from_snr_db(7, 6 / 7, 5.0)
-    with pytest.raises(DomainError):
-        run_adaptive_gdr(model, spec, 1e-4, 1, spawn_rng(0, 0))
-
-
-def test_run_adaptive_gdr_accepts_multi_support_codebook():
-    model = build_model(build_gdr(8, 4, selection="lexicographic"), 7, seed=0)
-    assert len(model.codebook) == 64
-    spec = ChannelSpec.from_snr_db(7, data_rate(model.codebook, 7), 5.0)
-    st = run_adaptive_gdr(model, spec, np.inf, 1, spawn_rng(0, 0))
-    assert st.M1 == 64
 
 
 def test_selected_codebook_maps_back_to_parent():

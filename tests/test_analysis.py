@@ -12,15 +12,6 @@ from aecomm.errors import DomainError, SingularityError
 from aecomm.nn import softmax
 
 
-def test_linearization_matrix_is_diagonal():
-    u = np.array([0.5, 1.0, 2.0])
-    lin = build_F(u)
-    F = lin.F
-    assert F.shape == (3, 3)
-    np.testing.assert_array_equal(F, np.diag(np.diag(F)))
-    np.testing.assert_array_equal(lin.F_plus, F)
-
-
 def test_linearization_approximates_softmax():
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -59,10 +50,8 @@ def test_linearization_rejects_near_zero_components():
 
 
 def test_negative_reference_blocks_all_active_form():
-    lin = build_F(np.array([1.0, -2.0, 1.5]))
-    assert not lin.all_active
-    with pytest.raises(DomainError):
-        lin.F_plus
+    assert not build_F(np.array([1.0, -2.0, 1.5])).all_active
+    assert build_F(np.array([1.0, 2.0, 1.5])).all_active
 
 
 def test_achievable_rate_gain_near_published_value():

@@ -11,7 +11,6 @@ from aecomm.codebooks import (
     data_rate,
     decode_batch,
     gray_bit_errors,
-    gray_bits,
     subset_codebook,
 )
 from aecomm.errors import DomainError, ShapeError
@@ -195,13 +194,6 @@ def test_codebook_rejects_duplicate_supports():
         Codebook(4, 1, [[0], [0]])
     with pytest.raises(DomainError):
         Codebook(4, 1, [[0], [1], [2]])  # not a power of two
-
-
-def test_gray_code_sequence():
-    got = [tuple(gray_bits(i, 2)) for i in range(4)]
-    assert got == [(0, 0), (0, 1), (1, 1), (1, 0)]
-    with pytest.raises(DomainError):
-        gray_bits(4, 2)
 
 
 def test_gray_adjacent_ids_differ_by_one_bit():

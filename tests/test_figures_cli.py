@@ -218,7 +218,7 @@ class TestCliWorkflow:
         run_cli("train", "--M", 4, "--epochs", 1, "--train-samples", 200,
                 "--snr-db", 10, "--seed", 0, "--out", ckpt)
         model = load_checkpoint(str(ckpt))
-        model.rx_layers[0].bias[0] = np.nan
+        model.b3[0] = np.nan
         bad = tmp_path / "nan.ckpt"
         save_checkpoint(model, str(bad))
         capsys.readouterr()

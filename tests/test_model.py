@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -48,13 +49,23 @@ def test_live_model_has_no_normalization_parameters():
 
 def test_architecture_shapes_and_activations():
     model = build_model(build_onehot(8), 7, seed=0)
-    tx0, tx1, norm = model.tx_layers
-    rx0, rx1 = model.rx_layers
-    assert (tx0.out_dim, tx0.in_dim, tx0.activation) == (8, 8, "relu")
-    assert (tx1.out_dim, tx1.in_dim, tx1.activation) == (7, 8, "linear")
-    assert norm.dim == 7
-    assert (rx0.out_dim, rx0.in_dim, rx0.activation) == (8, 7, "relu")
-    assert (rx1.out_dim, rx1.in_dim, rx1.activation) == (8, 8, "softmax")
+    shapes = [p.shape for p in model.params()]
+    assert shapes == [(8, 8), (8,), (7, 8), (7,), (8, 7), (8,), (8, 8), (8,)]
+    # every named weight and bias is a view into the one flat buffer
+    for p in (model.W1, model.b1, model.W2, model.b2,
+              model.W3, model.b3, model.W4, model.b4):
+        assert p.base is model.theta
+    assert model.theta.size == sum(p.size for p in model.params())
+    assert model.params_checksum() == hashlib.sha256(model.theta.tobytes()).hexdigest()
+    # relu on the hidden layers, linear into the normalizer, softmax out
+    s = np.eye(8)
+    h = np.maximum(s @ model.W1.T + model.b1, 0.0)
+    x = h @ model.W2.T + model.b2
+    np.testing.assert_allclose(model.transmit(s),
+                               np.sqrt(7) * x / np.linalg.norm(x, axis=1, keepdims=True))
+    y = model.transmit(s)
+    p = np.exp(np.maximum(y @ model.W3.T + model.b3, 0.0) @ model.W4.T + model.b4)
+    np.testing.assert_allclose(model.receive(y), p / p.sum(axis=1, keepdims=True))
 
 
 def test_transmit_obeys_power_constraint():
@@ -66,9 +77,8 @@ def test_transmit_obeys_power_constraint():
 def test_receiver_preactivation_is_affine_part():
     model = build_model(build_onehot(8), 7, seed=3)
     y = np.random.default_rng(0).standard_normal((5, 7))
-    first = model.rx_layers[0]
     np.testing.assert_allclose(
-        model.receiver_preactivation(y), y @ first.weights.T + first.bias
+        model.receiver_preactivation(y), y @ model.W3.T + model.b3
     )
 
 
@@ -95,8 +105,6 @@ def test_training_config_validation():
         TrainingConfig(training_snr_db=10.0, training_snr_set_db=(0.0, 10.0))
     with pytest.raises(ConfigError):
         TrainingConfig(training_snr_db=10.0, epochs=0)
-    with pytest.raises(ConfigError):
-        TrainingConfig(training_snr_db=10.0, loss="hinge")
     for bad in (dict(training_snr_db=float("nan")),
                 dict(training_snr_db=-np.inf),
                 dict(training_snr_set_db=(0.0, float("nan")))):
@@ -150,7 +158,7 @@ def test_training_snr_set_draws_are_reproducible():
 
 def test_training_detects_divergence():
     model = build_model(build_onehot(4), 7, seed=1)
-    model.tx_layers[0].weights[0, 0] = np.nan
+    model.W1[0, 0] = np.nan
     with pytest.raises(TrainingDivergedError) as err:
         train(model, _quick_config())
     assert err.value.epoch == 0
@@ -195,7 +203,7 @@ def test_checkpoint_rejects_dimension_mismatch(tmp_path):
 
 def test_checkpoint_rejects_non_finite_parameters(tmp_path):
     model = build_model(build_onehot(4), 7, seed=0)
-    model.rx_layers[0].bias[1] = np.nan
+    model.b3[1] = np.nan
     path = tmp_path / "nan.ckpt"
     save_checkpoint(model, path)
     with pytest.raises(DomainError, match="non-finite"):
@@ -228,6 +236,32 @@ def test_checkpoint_rejects_truncation(tmp_path):
     with pytest.raises(CheckpointTruncatedError) as err:
         load_checkpoint(cut)
     assert "section" in str(err.value)
+
+
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
+    model = build_model(build_gdr(8, 4), 7, seed=0)
+    train(model, _quick_config(seed=0))
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(model, first)
+    save_checkpoint(load_checkpoint(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_checkpoint_refuses_edited_architecture(tmp_path):
+    # the topology is fixed, so any other [architecture] block is refused
+    # rather than loaded as a different network
+    model = build_model(build_onehot(8), 7, seed=0)
+    path = tmp_path / "m8.ckpt"
+    save_checkpoint(model, path)
+    text = path.read_text()
+    bad = tmp_path / "bad.ckpt"
+    for old, new in (("layer = dense relu 8 8", "layer = dense tanh 8 8"),
+                     ("layer = power_norm 7\n", ""),
+                     ("tx_layers = 3", "tx_layers = 2")):
+        assert old in text
+        bad.write_text(text.replace(old, new, 1))
+        with pytest.raises(CheckpointDimensionError):
+            load_checkpoint(bad)
 
 
 def test_checkpoint_refuses_runtime_subset_codebooks(tmp_path):

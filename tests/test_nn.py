@@ -1,66 +1,89 @@
-import math
-
 import numpy as np
 import pytest
 
-from aecomm.errors import DegenerateInputError, DomainError, ShapeError
+from aecomm.codebooks import build_onehot
+from aecomm.errors import DegenerateInputError, ShapeError
+from aecomm.model import build_model
 from aecomm.nn import (
     AdamState,
-    AdditiveOffset,
-    DenseLayer,
-    PowerNormLayer,
     adam_step,
     backward_pass,
-    flatten_grads,
-    forward_pass,
-    glorot_uniform_dense,
-    loss_eval,
-    network_params,
+    dense,
+    glorot_uniform,
     power_normalize,
+    relu,
     softmax,
+    split,
 )
 
 
+def _model(M, n, seed, bias_scale=0.1):
+    """A fresh autoencoder whose biases are nonzero, so every bias gradient
+    is exercised."""
+    model = build_model(build_onehot(M), n, seed=seed)
+    rng = np.random.default_rng(seed + 1000)
+    for b in (model.b1, model.b2, model.b3, model.b4):
+        b[:] = bias_scale * rng.standard_normal(b.shape)
+    return model
+
+
 def test_dense_linear_hand_example():
-    layer = DenseLayer([[2.0, 0.0], [0.0, 3.0]], [1.0, 1.0], "linear")
-    np.testing.assert_allclose(layer.forward([1.0, 1.0]), [3.0, 4.0])
+    W, b = np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([1.0, 1.0])
+    np.testing.assert_allclose(dense(np.array([[1.0, 1.0]]), W, b), [[3.0, 4.0]])
 
 
 def test_dense_relu_clips_negative_preactivations():
-    layer = DenseLayer([[2.0, 0.0], [0.0, 3.0]], [-10.0, 1.0], "relu")
-    np.testing.assert_allclose(layer.forward([1.0, 1.0]), [0.0, 4.0])
+    W, b = np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([-10.0, 1.0])
+    np.testing.assert_allclose(dense(np.array([[1.0, 1.0]]), W, b, relu), [[0.0, 4.0]])
 
 
 def test_dense_batch_matches_vector():
+    model = _model(8, 7, seed=0)
     rng = np.random.default_rng(0)
-    layer = glorot_uniform_dense(5, 3, "tanh", rng)
-    x = rng.standard_normal(3)
-    np.testing.assert_array_equal(layer.forward(x), layer.forward(x[None, :])[0])
+    s = model.codebook.entries[3]
+    np.testing.assert_array_equal(model.transmit(s), model.transmit(s[None, :])[0])
+    y = rng.standard_normal(7)
+    np.testing.assert_array_equal(model.receive(y), model.receive(y[None, :])[0])
 
 
-@pytest.mark.parametrize("activation", ["linear", "relu", "softmax", "sigmoid", "tanh"])
+@pytest.mark.parametrize("activation", ["linear", "relu", "softmax"])
 def test_dense_forward_matches_training_path_bit_for_bit(activation):
+    # dense works in place on its own product; it must leave the input alone
+    # and give the bits of the out-of-place z = x @ W.T + b, then activation
+    act = {"linear": None, "relu": relu, "softmax": softmax}[activation]
     rng = np.random.default_rng(3)
-    layer = glorot_uniform_dense(16, 7, activation, rng)
-    layer.bias[:] = rng.standard_normal(16)
+    W = glorot_uniform(16, 7, rng)
+    b = rng.standard_normal(16)
     x = 3.0 * rng.standard_normal((50, 7))
     x_before = x.copy()
-    y = layer.forward(x)
+    y = dense(x, W, b, act)
     np.testing.assert_array_equal(x, x_before)
-    y_train, _ = layer.forward_cache(x)
-    np.testing.assert_array_equal(y, y_train)
+    z = x @ W.T + b
+    expected = {"linear": z, "relu": np.maximum(z, 0.0), "softmax": softmax(z)}[activation]
+    np.testing.assert_array_equal(y, expected)
+
+
+def test_training_forward_matches_receive_bit_for_bit():
+    # training and evaluation share the dense helper, so the receiver sees
+    # the same bits either way once given the same channel output
+    model = _model(16, 7, seed=3, bias_scale=1.0)
+    rng = np.random.default_rng(3)
+    s = model.codebook.entries[rng.integers(0, 16, size=50)]
+    noise = 0.3 * rng.standard_normal((50, 7))
+    _, _, p_train = backward_pass(model.params(), s, noise)
+    z2 = dense(dense(s, model.W1, model.b1, relu), model.W2, model.b2)
+    x = (np.sqrt(7) / np.linalg.norm(z2, axis=1, keepdims=True)) * z2
+    np.testing.assert_array_equal(p_train, model.receive(x + noise))
 
 
 def test_dense_rejects_bad_shapes():
+    model = build_model(build_onehot(8), 7, seed=0)
     with pytest.raises(ShapeError):
-        DenseLayer(np.zeros(4), np.zeros(4), "linear")
+        model.transmit(np.zeros(4))
     with pytest.raises(ShapeError):
-        DenseLayer(np.zeros((2, 3)), np.zeros(3), "linear")
-    with pytest.raises(DomainError):
-        DenseLayer(np.zeros((2, 3)), np.zeros(2), "softplus")
-    layer = DenseLayer(np.zeros((2, 3)), np.zeros(2), "linear")
+        model.receive(np.zeros((2, 8)))
     with pytest.raises(ShapeError):
-        layer.forward(np.zeros(4))
+        model.receive(np.zeros((2, 3, 7)))
 
 
 def test_softmax_rows_sum_to_one_and_stay_finite():
@@ -69,17 +92,6 @@ def test_softmax_rows_sum_to_one_and_stay_finite():
     assert np.all(np.isfinite(p))
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(p[0], [1 / 3, 1 / 3, 1 / 3])
-
-
-def test_loss_hand_values():
-    assert loss_eval("mse", [1.0, 0.0], [0.5, 0.5]) == pytest.approx(0.5)
-    assert loss_eval("categorical_cross_entropy", [0.0, 1.0], [0.5, 0.5]) == pytest.approx(math.log(2.0))
-    with pytest.raises(DomainError):
-        loss_eval("categorical_cross_entropy", [0.0, 1.0], [0.5, 0.0])
-    with pytest.raises(DomainError):
-        loss_eval("hinge", [1.0], [1.0])
-    with pytest.raises(ShapeError):
-        loss_eval("mse", [1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 def test_power_normalize_hand_values():
@@ -104,43 +116,33 @@ def test_power_normalize_degenerate_input():
 
 
 def test_power_norm_gradient_orthogonal_to_input():
-    # moving along x itself cannot change sqrt(n) x/||x||
-    layer = PowerNormLayer(4)
-    x = np.array([[1.0, 2.0, -1.0, 0.5]])
-    _, cache = layer.forward_cache(x)
-    grad_x, _ = layer.backward(x.copy(), cache)
-    np.testing.assert_allclose(grad_x, 0.0, atol=1e-12)
+    # scaling (W2, b2) scales the normalizer's input x, and moving along x
+    # itself cannot change sqrt(n) x/||x||, so the loss gradient is
+    # orthogonal to (W2, b2)
+    model = _model(4, 5, seed=4)
+    rng = np.random.default_rng(4)
+    s = model.codebook.entries[rng.integers(0, 4, size=6)]
+    _, grad, _ = backward_pass(model.params(), s, 0.2 * rng.standard_normal((6, 5)))
+    _, _, gW2, gb2, *_ = split(grad, 4, 5)
+    along = float(np.sum(gW2 * model.W2) + np.sum(gb2 * model.b2))
+    scale = float(np.sum(np.abs(gW2 * model.W2)) + np.sum(np.abs(gb2 * model.b2)))
+    assert abs(along) <= 1e-12 * scale
 
 
-def test_additive_offset_forward_and_passthrough_gradient():
-    layer = AdditiveOffset(3)
-    layer.offset = np.array([[1.0, -1.0, 0.0]])
-    np.testing.assert_allclose(layer.forward([[0.0, 0.0, 0.0]]), [[1.0, -1.0, 0.0]])
-    g = np.array([[0.3, 0.4, 0.5]])
-    grad_x, param_grads = layer.backward(g, None)
-    np.testing.assert_array_equal(grad_x, g)
-    assert param_grads == []
-
-
-def _mean_loss(layers, x, s, kind):
-    out = forward_pass(layers, x)
-    return float(np.mean(loss_eval(kind, s, out)))
-
-
-def _check_gradients(layers, x, s, kind, rng, coords=6, h=1e-5, tol=1e-4):
-    loss, grads, _ = backward_pass(layers, x, s, loss_kind=kind)
-    params = network_params(layers)
-    flat = flatten_grads(grads)
-    assert len(params) == len(flat)
-    for p, g in zip(params, flat):
-        assert g.shape == p.shape
+def _check_gradients(model, s, noise, rng, coords=6, h=1e-5, tol=1e-4):
+    """Central differences of backward_pass's own loss against its gradient,
+    at random coordinates of each of the eight parameter arrays."""
+    params = model.params()
+    loss, grad, _ = backward_pass(params, s, noise)
+    assert grad.shape == model.theta.shape
+    for p, g in zip(params, split(grad, model.M, model.n)):
         for _ in range(min(coords, p.size)):
             idx = np.unravel_index(rng.integers(p.size), p.shape)
             orig = p[idx]
             p[idx] = orig + h
-            lp = _mean_loss(layers, x, s, kind)
+            lp = backward_pass(params, s, noise)[0]
             p[idx] = orig - h
-            lm = _mean_loss(layers, x, s, kind)
+            lm = backward_pass(params, s, noise)[0]
             p[idx] = orig
             numeric = (lp - lm) / (2.0 * h)
             analytic = g[idx]
@@ -154,95 +156,79 @@ def _check_gradients(layers, x, s, kind, rng, coords=6, h=1e-5, tol=1e-4):
 def test_gradient_check_100_random_instances():
     rng = np.random.default_rng(42)
     for i in range(100):
-        layers = [
-            glorot_uniform_dense(5, 3, "relu", rng),
-            glorot_uniform_dense(4, 5, "softmax", rng),
-        ]
-        layers[0].bias = rng.standard_normal(5) * 0.1
-        x = rng.standard_normal((2, 3))
-        ids = rng.integers(4, size=2)
-        s = np.eye(4)[ids]
-        _check_gradients(layers, x, s, "mse", rng, coords=3)
-
-
-def test_gradient_check_covers_every_activation_and_loss():
-    rng = np.random.default_rng(9)
-    for act in ("linear", "relu", "sigmoid", "tanh"):
-        layers = [
-            glorot_uniform_dense(6, 4, act, rng),
-            glorot_uniform_dense(3, 6, "softmax", rng),
-        ]
-        x = rng.standard_normal((3, 4))
-        s = np.eye(3)[rng.integers(3, size=3)]
-        _check_gradients(layers, x, s, "mse", rng)
-        _check_gradients(layers, x, s, "categorical_cross_entropy", rng)
+        model = _model(4, 3, seed=i)
+        s = model.codebook.entries[rng.integers(4, size=2)]
+        _check_gradients(model, s, 0.0, rng, coords=3)
 
 
 def test_gradient_check_through_normalization_and_offset():
-    # the full transmit/channel/receive stack shape used in training
+    # the full transmit/channel/receive stack used in training
     rng = np.random.default_rng(11)
-    noise = AdditiveOffset(3)
-    noise.offset = 0.1 * rng.standard_normal((4, 3))
-    layers = [
-        glorot_uniform_dense(5, 5, "relu", rng),
-        glorot_uniform_dense(3, 5, "linear", rng),
-        PowerNormLayer(3),
-        noise,
-        glorot_uniform_dense(5, 3, "relu", rng),
-        glorot_uniform_dense(5, 5, "softmax", rng),
-    ]
-    layers[0].bias = rng.standard_normal(5) * 0.1
-    x = np.eye(5)[rng.integers(5, size=4)]
-    _check_gradients(layers, x, x, "mse", rng)
+    model = _model(4, 3, seed=11)
+    s = model.codebook.entries[rng.integers(4, size=4)]
+    _check_gradients(model, s, 0.1 * rng.standard_normal((4, 3)), rng)
+
+
+def test_gradient_check_with_noise_and_dead_relu_unit():
+    rng = np.random.default_rng(13)
+    model = _model(8, 4, seed=13)
+    model.b1[2] = -100.0  # transmitter hidden unit 2 never fires
+    model.b3[0] = -100.0  # receiver hidden unit 0 never fires
+    s = model.codebook.entries[rng.integers(8, size=5)]
+    noise = 0.5 * rng.standard_normal((5, 4))
+    _check_gradients(model, s, noise, rng, coords=8)
+    _, grad, _ = backward_pass(model.params(), s, noise)
+    gW1, gb1, _, _, gW3, gb3, _, _ = split(grad, 8, 4)
+    assert np.all(gW1[2] == 0.0) and gb1[2] == 0.0
+    assert np.all(gW3[0] == 0.0) and gb3[0] == 0.0
 
 
 def test_backward_pass_loss_is_batch_mean():
     rng = np.random.default_rng(3)
-    layers = [glorot_uniform_dense(4, 4, "softmax", rng)]
-    x = rng.standard_normal((8, 4))
-    s = np.eye(4)[rng.integers(4, size=8)]
-    loss, _, out = backward_pass(layers, x, s)
-    assert loss == pytest.approx(float(np.mean(loss_eval("mse", s, out))))
+    model = _model(4, 7, seed=3)
+    s = model.codebook.entries[rng.integers(4, size=8)]
+    loss, _, p = backward_pass(model.params(), s, 0.1 * rng.standard_normal((8, 7)))
+    assert loss == pytest.approx(float(np.mean(np.sum((s - p) ** 2, axis=1))))
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():
-    params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-    state = AdamState(params)
-    before = [p.copy() for p in params]
-    adam_step(state, params, [np.zeros(2), np.zeros((1, 1))])
-    for p, b in zip(params, before):
-        np.testing.assert_array_equal(p, b)
+    theta = np.array([1.0, -2.0, 3.0])
+    state = AdamState(3)
+    adam_step(state, theta, np.zeros(3))
+    np.testing.assert_array_equal(theta, [1.0, -2.0, 3.0])
 
 
 def test_adam_first_step_size_is_learning_rate():
     # bias correction makes the first update lr * sign(g) up to epsilon
-    params = [np.array([0.0])]
-    state = AdamState(params, learning_rate=0.001)
-    adam_step(state, params, [np.array([0.5])])
-    assert params[0][0] == pytest.approx(-0.001, rel=1e-6)
+    theta = np.array([0.0, 0.0])
+    state = AdamState(2, learning_rate=0.001)
+    adam_step(state, theta, np.array([0.5, -3.0]))
+    np.testing.assert_allclose(theta, [-0.001, 0.001], rtol=1e-6)
 
 
 def test_adam_converges_on_quadratic_bowl():
-    params = [np.array([3.0])]
-    state = AdamState(params, learning_rate=0.01)
+    theta = np.array([3.0, -1.0])
+    state = AdamState(2, learning_rate=0.01)
     for _ in range(5000):
-        adam_step(state, params, [2.0 * params[0]])
-    assert abs(params[0][0]) < 1e-3
+        adam_step(state, theta, 2.0 * theta)
+    assert np.all(np.abs(theta) < 1e-3)
 
 
 def test_adam_rejects_mismatched_shapes():
-    params = [np.zeros(3)]
-    state = AdamState(params)
+    state = AdamState(3)
     with pytest.raises(ShapeError):
-        adam_step(state, params, [np.zeros(4)])
+        adam_step(state, np.zeros(3), np.zeros(4))
     with pytest.raises(ShapeError):
-        adam_step(state, [np.zeros(3), np.zeros(2)], [np.zeros(3), np.zeros(2)])
+        adam_step(state, np.zeros(5), np.zeros(5))
 
 
 def test_glorot_init_is_seed_deterministic():
-    a = glorot_uniform_dense(8, 3, "relu", np.random.default_rng(5))
-    b = glorot_uniform_dense(8, 3, "relu", np.random.default_rng(5))
-    np.testing.assert_array_equal(a.weights, b.weights)
-    np.testing.assert_array_equal(a.bias, np.zeros(8))
+    a = glorot_uniform(8, 3, np.random.default_rng(5))
+    b = glorot_uniform(8, 3, np.random.default_rng(5))
+    np.testing.assert_array_equal(a, b)
+    assert a.shape == (8, 3)
     limit = np.sqrt(6.0 / 11.0)
-    assert np.all(np.abs(a.weights) <= limit)
+    assert np.all(np.abs(a) <= limit)
+    model = build_model(build_onehot(8), 3, seed=5)
+    for bias in (model.b1, model.b2, model.b3, model.b4):
+        np.testing.assert_array_equal(bias, 0.0)
