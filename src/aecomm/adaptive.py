@@ -10,13 +10,14 @@ requirement is 64 entries, the size the selection tiers were designed for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log2
 
 import numpy as np
 
-from .channel import ChannelSpec, awgn
-from .codebooks import subset_codebook
+from . import metrics
+from .channel import ChannelSpec, awgn, spawn_rng
+from .codebooks import data_rate, subset_codebook
 from .errors import DomainError
 
 SUBSET_TIERS = (4, 8, 16, 32, 64)
@@ -34,7 +35,6 @@ class AdaptiveState:
     probes_per_vector: int
     outage: bool
     rate_bits_per_use: float | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def probe_mses(model, spec: ChannelSpec, K: int, rng) -> np.ndarray:
@@ -103,3 +103,29 @@ def run_adaptive(model, spec: ChannelSpec, threshold: float, K: int,
 def selected_codebook(model, state: AdaptiveState):
     """Restricted codebook over the fed-back entries, plus the parent ids."""
     return subset_codebook(model.codebook, state.feedback_labels)
+
+
+def adaptive_sweep(model, snrs, threshold: float, K: int, blocks: int,
+                   key) -> list[dict]:
+    """Probe, select and evaluate the selected subset at each operating SNR.
+
+    Point i draws its probes and then its evaluation blocks from one stream,
+    spawn_rng(*key, i). Rows carry the selection (M1, outage, rate) and the
+    subset's BLER, MSE and block count.
+    """
+    rate = data_rate(model.codebook, model.n)
+    rows = []
+    for i, snr_db in enumerate(snrs):
+        spec = ChannelSpec.from_snr_db(model.n, rate, snr_db)
+        rng = spawn_rng(*key, i)
+        state = run_adaptive(model, spec, threshold, K, rng)
+        sub, _ = selected_codebook(model, state)
+        rec = metrics.estimate_bler(model, sub, spec, blocks, rng, scheme="adaptive")
+        rows.append({
+            "snr_db": snr_db, "threshold": threshold, "K": K,
+            "M1": state.M1, "outage": state.outage,
+            "rate_bits_per_use": state.rate_bits_per_use,
+            "bler": rec.bler, "bler_ci95": rec.bler_ci95, "mse": rec.mse,
+            "blocks": rec.blocks,
+        })
+    return rows

@@ -20,8 +20,8 @@ import sys
 
 from . import adaptive as ad
 from . import analysis, figures, hamming, metrics
-from .channel import ChannelSpec, spawn_rng
-from .codebooks import build_gdr, build_onehot, data_rate
+from .channel import spawn_rng
+from .codebooks import build_gdr, build_onehot
 from .errors import ConfigError, DomainError
 from .model import TrainingConfig, build_model, load_checkpoint, save_checkpoint, train
 
@@ -207,14 +207,8 @@ def _axis_from_args(args) -> tuple[str, list[float]]:
 def _cmd_evaluate(args) -> int:
     model = load_checkpoint(args.checkpoint)
     kind, points = _axis_from_args(args)
-    rate = data_rate(model.codebook, model.n)
-    records = []
-    for i, point in enumerate(points):
-        spec = (ChannelSpec.from_ebn0(model.n, rate, point) if kind == "ebn0_db"
-                else ChannelSpec.from_snr_db(model.n, rate, point))
-        records.append(metrics.estimate_bler(model, None, spec, args.blocks,
-                                             spawn_rng(args.seed, i),
-                                             scheme=args.scheme))
+    records = metrics.sweep(model, kind, points, args.blocks, (args.seed,),
+                            scheme=args.scheme)
     echo = {"command": "evaluate", "checkpoint": args.checkpoint, "axis": kind,
             "points": ",".join(repr(p) for p in points),
             "blocks": args.blocks, "seed": args.seed}
@@ -225,20 +219,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_adaptive(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    points = parse_axis(args.snr)
-    rate = data_rate(model.codebook, model.n)
-    rows = []
-    for i, snr_db in enumerate(points):
-        spec = ChannelSpec.from_snr_db(model.n, rate, snr_db)
-        rng = spawn_rng(args.seed, i)
-        state = ad.run_adaptive(model, spec, args.threshold, args.probes, rng)
-        sub, _ = ad.selected_codebook(model, state)
-        rec = metrics.estimate_bler(model, sub, spec, args.blocks, rng,
-                                    scheme="adaptive")
-        rows.append({"snr_db": snr_db, "threshold": args.threshold,
-                     "K": args.probes, "M1": state.M1, "outage": state.outage,
-                     "rate_bits_per_use": state.rate_bits_per_use,
-                     "bler": rec.bler, "bler_ci95": rec.bler_ci95})
+    rows = ad.adaptive_sweep(model, parse_axis(args.snr), args.threshold,
+                             args.probes, args.blocks, (args.seed,))
     echo = {"command": "adaptive", "checkpoint": args.checkpoint,
             "threshold": args.threshold, "K": args.probes,
             "blocks": args.blocks, "seed": args.seed}
@@ -251,15 +233,10 @@ def _cmd_baseline(args) -> int:
     points = parse_axis(args.ebn0)
     schemes = (("hamming_hd", "hamming_ml", "uncoded_bpsk")
                if args.scheme == "all" else (args.scheme,))
-    rows = []
-    for s, scheme in enumerate(schemes):
-        for i, point in enumerate(points):
-            counts = hamming.baseline_block_errors(scheme, point, args.blocks,
-                                                   spawn_rng(args.seed, s, i))
-            rows.append({"scheme": scheme, "ebn0_db": point, "ber": counts["ber"],
-                         "ber_ci95": metrics.wald_ci95(counts["bit_errors"],
-                                                       counts["bits"]),
-                         "blocks_simulated": counts["blocks"]})
+    # each scheme draws from its own streams (seed, s, i)
+    rows = [row for s, scheme in enumerate(schemes)
+            for row in hamming.baseline_sweep(scheme, points, args.blocks,
+                                              (args.seed, s))]
     echo = {"command": "baseline", "blocks": args.blocks, "seed": args.seed}
     metrics.write_csv(args.out, metrics.BASELINE_COLUMNS, rows, echo)
     print(f"wrote {len(rows)} records to {args.out}")

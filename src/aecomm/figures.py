@@ -15,14 +15,12 @@ import os
 from dataclasses import dataclass
 from math import log2
 
-import numpy as np
-
 from . import adaptive as ad
 from . import analysis, hamming, metrics
 from .channel import ChannelSpec, spawn_rng
 from .codebooks import build_gdr, build_onehot, data_rate
 from .errors import UnknownRecipeError
-from .model import Autoencoder, TrainingConfig, build_model, theoretical_param_count, train
+from .model import TrainingConfig, build_model, theoretical_param_count, train
 
 N_CHANNEL_USES = 7
 DESK_BLOCKS = 100_000
@@ -56,68 +54,31 @@ class RecipeContext:
         return PAPER_BLOCKS if self.paper_scale else DESK_BLOCKS
 
 
-# Trained models are pure functions of their config, so repeated recipe
-# runs in one process can share them without affecting outputs.
+# Trained models are pure functions of their config, so every recipe (and
+# the test suite) in one process shares them without affecting outputs.
 _MODEL_CACHE: dict = {}
 
 
-def trained_model(ctx: RecipeContext, M: int, m: int, snr, tag: str):
-    """Train (or fetch) the autoencoder for one curve; returns (model, trace)."""
-    snr_key = tuple(snr) if isinstance(snr, (tuple, list)) else float(snr)
-    seed = derive_seed(ctx.master_seed, "train", tag)
-    key = (M, m, snr_key, seed, ctx.epochs, ctx.train_samples)
+def trained_model(M: int, m: int, snr, seed: int, epochs: int = 150,
+                  train_samples: int = 20000):
+    """Train (or fetch) the n=7 autoencoder for one config; returns
+    (model, trace). `snr` is one training SNR, or a tuple for an SNR set."""
+    snr_set = isinstance(snr, (tuple, list))
+    snr_key = tuple(snr) if snr_set else float(snr)
+    key = (M, m, snr_key, seed, epochs, train_samples)
     if key not in _MODEL_CACHE:
         codebook = build_onehot(M) if m == 1 else build_gdr(M, m)
         model = build_model(codebook, N_CHANNEL_USES, seed=seed)
-        kwargs = {"training_snr_set_db": tuple(snr)} if isinstance(snr, (tuple, list)) \
-            else {"training_snr_db": float(snr)}
-        config = TrainingConfig(epochs=ctx.epochs, train_samples=ctx.train_samples,
-                                seed=seed, **kwargs)
-        trace = train(model, config)
-        _MODEL_CACHE[key] = (model, trace)
+        snr_field = "training_snr_set_db" if snr_set else "training_snr_db"
+        config = TrainingConfig(epochs=epochs, train_samples=train_samples,
+                                seed=seed, **{snr_field: snr_key})
+        _MODEL_CACHE[key] = (model, train(model, config))
     return _MODEL_CACHE[key]
 
 
-def _sweep(model: Autoencoder, ctx: RecipeContext, tag: str, points,
-           kind: str, codebook=None, extra=None) -> list:
-    """Evaluate one trained model over an SNR axis, one rng stream per point."""
-    eval_seed = derive_seed(ctx.master_seed, "eval", tag)
-    records = []
-    for i, point in enumerate(points):
-        if kind == "ebn0_db":
-            spec = ChannelSpec.from_ebn0(N_CHANNEL_USES,
-                                         data_rate(codebook or model.codebook,
-                                                   N_CHANNEL_USES), point)
-        else:
-            spec = ChannelSpec.from_snr_db(N_CHANNEL_USES,
-                                           data_rate(codebook or model.codebook,
-                                                     N_CHANNEL_USES), point)
-        records.append(metrics.estimate_bler(model, codebook, spec, ctx.eval_blocks,
-                                             spawn_rng(eval_seed, i), extra=extra))
-    return records
-
-
-def _adaptive_rows(model, ctx: RecipeContext, tag: str, threshold: float,
-                   snrs=ADAPTIVE_SNRS_DB) -> list[dict]:
-    """Probe/select/evaluate at each SNR point; rows carry M1 and rate."""
-    seed = derive_seed(ctx.master_seed, "adaptive", tag)
-    rate = data_rate(model.codebook, N_CHANNEL_USES)
-    rows = []
-    for i, snr_db in enumerate(snrs):
-        spec = ChannelSpec.from_snr_db(N_CHANNEL_USES, rate, snr_db)
-        rng = spawn_rng(seed, i)
-        state = ad.run_adaptive(model, spec, threshold, ctx.probes, rng)
-        sub, _ = ad.selected_codebook(model, state)
-        rec = metrics.estimate_bler(model, sub, spec, ctx.eval_blocks, rng,
-                                    scheme="adaptive")
-        rows.append({
-            "snr_db": snr_db, "threshold": threshold, "K": ctx.probes,
-            "M1": state.M1, "outage": state.outage,
-            "rate_bits_per_use": state.rate_bits_per_use,
-            "bler": rec.bler, "bler_ci95": rec.bler_ci95, "mse": rec.mse,
-            "blocks": rec.blocks,
-        })
-    return rows
+def _train(ctx: RecipeContext, M: int, m: int, snr, tag: str):
+    return trained_model(M, m, snr, derive_seed(ctx.master_seed, "train", tag),
+                         ctx.epochs, ctx.train_samples)
 
 
 def _write(ctx, manifest, curve: str, columns, rows, config: dict) -> None:
@@ -135,46 +96,67 @@ def _base_config(ctx: RecipeContext, **kw) -> dict:
     return cfg
 
 
+def _model_config(ctx: RecipeContext, model, **kw) -> dict:
+    """Config of a curve drawn from one trained model: its codebook and the
+    training SNR (or SNR set) its training summary records."""
+    snr = {k: v for k, v in model.training_summary.items()
+           if k.startswith("training_snr")}
+    return _base_config(ctx, M=model.codebook.M, m=model.codebook.m, **snr, **kw)
+
+
+def _sweep_curve(ctx: RecipeContext, manifest: dict, curve: str, M: int, m: int,
+                 snr, tag: str, points=ADAPTIVE_SNRS_DB, kind: str = "snr_db",
+                 eval_tag: str | None = None) -> list:
+    """Train the model for `tag`, sweep it on the eval stream of `eval_tag`
+    (default `tag`) and write the curve; returns its records."""
+    model, _ = _train(ctx, M, m, snr, tag)
+    key = (derive_seed(ctx.master_seed, "eval", eval_tag or tag),)
+    recs = metrics.sweep(model, kind, points, ctx.eval_blocks, key)
+    _write(ctx, manifest, curve, metrics.EVALUATE_COLUMNS, recs,
+           _model_config(ctx, model))
+    return recs
+
+
+def _adaptive_curve(ctx: RecipeContext, manifest: dict, curve: str, model,
+                    tag: str, threshold: float,
+                    columns=metrics.ADAPTIVE_COLUMNS) -> list[dict]:
+    """Run the adaptive scheme over ADAPTIVE_SNRS_DB and write the curve."""
+    key = (derive_seed(ctx.master_seed, "adaptive", tag),)
+    rows = ad.adaptive_sweep(model, ADAPTIVE_SNRS_DB, threshold, ctx.probes,
+                             ctx.eval_blocks, key)
+    _write(ctx, manifest, curve, columns, rows,
+           _model_config(ctx, model, threshold=threshold, K=ctx.probes))
+    return rows
+
+
+def _threshold_curves(ctx: RecipeContext, manifest: dict, name: str,
+                      prefix: str, columns=metrics.ADAPTIVE_COLUMNS) -> dict:
+    """One adaptive curve per MSE threshold on the fig5 M=64 model."""
+    model, _ = _train(ctx, 64, 1, 5.0, "fig5-m64")
+    return {f"th{t:g}": _adaptive_curve(ctx, manifest, f"{prefix}_th{t:g}", model,
+                                        f"{name}-th{t:g}", t, columns)
+            for t in MSE_THRESHOLDS}
+
+
 def _recipe_fig3(ctx: RecipeContext, manifest: dict) -> None:
     """Hamming(7,4) HD/ML and uncoded BPSK vs the M=16 one-hot autoencoder."""
     ebn0 = [float(v) for v in range(0, 9)]
-    seed = derive_seed(ctx.master_seed, "eval", "fig3-baseline")
+    # all three schemes share one stream per point
+    key = (derive_seed(ctx.master_seed, "eval", "fig3-baseline"),)
     for scheme in ("hamming_hd", "hamming_ml", "uncoded_bpsk"):
-        rows = []
-        for i, point in enumerate(ebn0):
-            c = hamming.baseline_block_errors(scheme, point, ctx.eval_blocks,
-                                              spawn_rng(seed, i))
-            rows.append({"scheme": scheme, "ebn0_db": point, "ber": c["ber"],
-                         "ber_ci95": metrics.wald_ci95(c["bit_errors"], c["bits"]),
-                         "blocks_simulated": c["blocks"]})
-        _write(ctx, manifest, scheme, metrics.BASELINE_COLUMNS, rows,
+        _write(ctx, manifest, scheme, metrics.BASELINE_COLUMNS,
+               hamming.baseline_sweep(scheme, ebn0, ctx.eval_blocks, key),
                _base_config(ctx, scheme=scheme))
-    model, _ = trained_model(ctx, 16, 1, 10.0, "fig3-m16")
-    recs = _sweep(model, ctx, "fig3-m16", ebn0, "ebn0_db")
-    _write(ctx, manifest, "autoencoder_m16", metrics.EVALUATE_COLUMNS, recs,
-           _base_config(ctx, M=16, m=1, training_snr_db=10.0))
+    _sweep_curve(ctx, manifest, "autoencoder_m16", 16, 1, 10.0, "fig3-m16",
+                 ebn0, "ebn0_db")
 
 
 def _recipe_fig4(ctx: RecipeContext, manifest: dict) -> None:
     """Gray-coded BER of one-hot autoencoders, M = 4 to 32, trained at 10 dB."""
     ebn0 = [float(v) for v in range(0, 9)]
     for M in (4, 8, 16, 32):
-        model, _ = trained_model(ctx, M, 1, 10.0, f"fig4-m{M}")
-        recs = _sweep(model, ctx, f"fig4-m{M}", ebn0, "ebn0_db")
-        _write(ctx, manifest, f"onehot_m{M}", metrics.EVALUATE_COLUMNS, recs,
-               _base_config(ctx, M=M, m=1, training_snr_db=10.0))
-
-
-def _conventional_curves(ctx: RecipeContext, manifest: dict, sizes,
-                         snr_t: float, tag: str) -> dict:
-    curves = {}
-    for M in sizes:
-        model, _ = trained_model(ctx, M, 1, snr_t, f"{tag}-m{M}")
-        recs = _sweep(model, ctx, f"{tag}-m{M}", ADAPTIVE_SNRS_DB, "snr_db")
-        _write(ctx, manifest, f"onehot_m{M}", metrics.EVALUATE_COLUMNS, recs,
-               _base_config(ctx, M=M, m=1, training_snr_db=snr_t))
-        curves[M] = recs
-    return curves
+        _sweep_curve(ctx, manifest, f"onehot_m{M}", M, 1, 10.0, f"fig4-m{M}",
+                     ebn0, "ebn0_db")
 
 
 def matched_rate_report(adaptive_rows, conventional: dict) -> dict:
@@ -200,18 +182,12 @@ def matched_rate_report(adaptive_rows, conventional: dict) -> dict:
 
 def _recipe_fig5(ctx: RecipeContext, manifest: dict) -> None:
     """Adaptive BLER vs the conventional one-hot sizes, trained at 5 dB."""
-    conventional = _conventional_curves(ctx, manifest, (4, 8, 16, 32, 64), 5.0,
-                                        "fig5")
-    model, _ = trained_model(ctx, 64, 1, 5.0, "fig5-m64")
-    manifest["matched_rate"] = {}
-    for threshold in MSE_THRESHOLDS:
-        rows = _adaptive_rows(model, ctx, f"fig5-th{threshold:g}", threshold)
-        _write(ctx, manifest, f"adaptive_th{threshold:g}",
-               metrics.ADAPTIVE_COLUMNS, rows,
-               _base_config(ctx, M=64, m=1, training_snr_db=5.0,
-                            threshold=threshold, K=ctx.probes))
-        manifest["matched_rate"][f"th{threshold:g}"] = \
-            matched_rate_report(rows, conventional)
+    conventional = {M: _sweep_curve(ctx, manifest, f"onehot_m{M}", M, 1, 5.0,
+                                    f"fig5-m{M}")
+                    for M in (4, 8, 16, 32, 64)}
+    curves = _threshold_curves(ctx, manifest, "fig5", "adaptive")
+    manifest["matched_rate"] = {th: matched_rate_report(rows, conventional)
+                                for th, rows in curves.items()}
 
 
 def _recipe_fig6(ctx: RecipeContext, manifest: dict) -> None:
@@ -220,33 +196,19 @@ def _recipe_fig6(ctx: RecipeContext, manifest: dict) -> None:
             for M in (4, 8, 16, 32, 64)]
     _write(ctx, manifest, "conventional_rates",
            ("scheme", "M", "rate_bits_per_use"), rows, _base_config(ctx))
-    model, _ = trained_model(ctx, 64, 1, 5.0, "fig5-m64")
-    for threshold in MSE_THRESHOLDS:
-        rows = _adaptive_rows(model, ctx, f"fig6-th{threshold:g}", threshold)
-        _write(ctx, manifest, f"adaptive_th{threshold:g}",
-               metrics.ADAPTIVE_COLUMNS, rows,
-               _base_config(ctx, M=64, m=1, training_snr_db=5.0,
-                            threshold=threshold, K=ctx.probes))
+    _threshold_curves(ctx, manifest, "fig6", "adaptive")
 
 
 def _recipe_fig7(ctx: RecipeContext, manifest: dict) -> None:
     """Simulated reconstruction MSE of the adaptive scheme per threshold."""
-    model, _ = trained_model(ctx, 64, 1, 5.0, "fig5-m64")
-    columns = ("snr_db", "threshold", "K", "M1", "outage", "mse")
-    for threshold in MSE_THRESHOLDS:
-        rows = _adaptive_rows(model, ctx, f"fig7-th{threshold:g}", threshold)
-        _write(ctx, manifest, f"adaptive_mse_th{threshold:g}", columns, rows,
-               _base_config(ctx, M=64, m=1, training_snr_db=5.0,
-                            threshold=threshold, K=ctx.probes))
+    _threshold_curves(ctx, manifest, "fig7", "adaptive_mse",
+                      ("snr_db", "threshold", "K", "M1", "outage", "mse"))
 
 
 def _recipe_fig8(ctx: RecipeContext, manifest: dict) -> None:
     """BLER of m-of-M codebooks at fixed M=8 (a) and at fixed rate 6/7 (b)."""
     for M, m in ((8, 1), (8, 2), (8, 3), (8, 4), (16, 2), (64, 1)):
-        model, _ = trained_model(ctx, M, m, 5.0, f"fig8-m{M}x{m}")
-        recs = _sweep(model, ctx, f"fig8-m{M}x{m}", ADAPTIVE_SNRS_DB, "snr_db")
-        _write(ctx, manifest, f"m{M}_order{m}", metrics.EVALUATE_COLUMNS, recs,
-               _base_config(ctx, M=M, m=m, training_snr_db=5.0))
+        _sweep_curve(ctx, manifest, f"m{M}_order{m}", M, m, 5.0, f"fig8-m{M}x{m}")
 
 
 def _recipe_fig9(ctx: RecipeContext, manifest: dict) -> None:
@@ -275,24 +237,18 @@ def _training_study_curves(ctx):
 def _recipe_fig10(ctx: RecipeContext, manifest: dict) -> None:
     """Training loss traces for the M=8 one-hot model across training SNRs."""
     for curve, snr in _training_study_curves(ctx):
-        _, trace = trained_model(ctx, 8, 1, snr, f"fig10-{curve}")
+        model, trace = _train(ctx, 8, 1, snr, f"fig10-{curve}")
         rows = [{"epoch": i + 1, "loss": v}
                 for i, v in enumerate(trace.epoch_losses)]
-        snr_cfg = {"training_snr_set_db": list(snr)} if isinstance(snr, tuple) \
-            else {"training_snr_db": snr}
         _write(ctx, manifest, curve, ("epoch", "loss"), rows,
-               _base_config(ctx, M=8, m=1, **snr_cfg))
+               _model_config(ctx, model))
 
 
 def _training_study_sweep(ctx: RecipeContext, manifest: dict, prefix: str,
                           curves) -> None:
     for curve, snr in curves:
-        model, _ = trained_model(ctx, 8, 1, snr, f"{prefix}-{curve}")
-        recs = _sweep(model, ctx, f"{prefix}-{curve}", _TEST_SNRS_DB, "snr_db")
-        snr_cfg = {"training_snr_set_db": list(snr)} if isinstance(snr, tuple) \
-            else {"training_snr_db": snr}
-        _write(ctx, manifest, curve, metrics.EVALUATE_COLUMNS, recs,
-               _base_config(ctx, M=8, m=1, **snr_cfg))
+        _sweep_curve(ctx, manifest, curve, 8, 1, snr, f"{prefix}-{curve}",
+                     _TEST_SNRS_DB)
 
 
 def _recipe_fig11(ctx: RecipeContext, manifest: dict) -> None:
@@ -307,22 +263,14 @@ def _recipe_fig12(ctx: RecipeContext, manifest: dict) -> None:
 
 def _recipe_fig13(ctx: RecipeContext, manifest: dict) -> None:
     """Four schemes at rate 6/7: fixed one-hot M=64, adaptive, GDR, adaptive-GDR."""
-    m64, _ = trained_model(ctx, 64, 1, 5.0, "fig5-m64")
-    recs = _sweep(m64, ctx, "fig13-m64", ADAPTIVE_SNRS_DB, "snr_db")
-    _write(ctx, manifest, "onehot_m64", metrics.EVALUATE_COLUMNS, recs,
-           _base_config(ctx, M=64, m=1, training_snr_db=5.0))
-    rows = _adaptive_rows(m64, ctx, "fig13-adaptive", 1e-4)
-    _write(ctx, manifest, "adaptive_onehot", metrics.ADAPTIVE_COLUMNS, rows,
-           _base_config(ctx, M=64, m=1, training_snr_db=5.0, threshold=1e-4,
-                        K=ctx.probes))
-    gdr, _ = trained_model(ctx, 8, 4, 5.0, "fig8-m8x4")
-    recs = _sweep(gdr, ctx, "fig13-gdr", ADAPTIVE_SNRS_DB, "snr_db")
-    _write(ctx, manifest, "gdr_m8_order4", metrics.EVALUATE_COLUMNS, recs,
-           _base_config(ctx, M=8, m=4, training_snr_db=5.0))
-    rows = _adaptive_rows(gdr, ctx, "fig13-adaptive-gdr", 1e-4)
-    _write(ctx, manifest, "adaptive_gdr", metrics.ADAPTIVE_COLUMNS, rows,
-           _base_config(ctx, M=8, m=4, training_snr_db=5.0, threshold=1e-4,
-                        K=ctx.probes))
+    _sweep_curve(ctx, manifest, "onehot_m64", 64, 1, 5.0, "fig5-m64",
+                 eval_tag="fig13-m64")
+    _sweep_curve(ctx, manifest, "gdr_m8_order4", 8, 4, 5.0, "fig8-m8x4",
+                 eval_tag="fig13-gdr")
+    m64, _ = _train(ctx, 64, 1, 5.0, "fig5-m64")
+    _adaptive_curve(ctx, manifest, "adaptive_onehot", m64, "fig13-adaptive", 1e-4)
+    gdr, _ = _train(ctx, 8, 4, 5.0, "fig8-m8x4")
+    _adaptive_curve(ctx, manifest, "adaptive_gdr", gdr, "fig13-adaptive-gdr", 1e-4)
 
 
 def _recipe_table4(ctx: RecipeContext, manifest: dict) -> None:
@@ -338,7 +286,7 @@ def _recipe_table4(ctx: RecipeContext, manifest: dict) -> None:
 
 def _recipe_table5(ctx: RecipeContext, manifest: dict) -> None:
     """Selected subset size M1 per threshold and operating SNR."""
-    model, _ = trained_model(ctx, 64, 1, 5.0, "fig5-m64")
+    model, _ = _train(ctx, 64, 1, 5.0, "fig5-m64")
     seed = derive_seed(ctx.master_seed, "adaptive", "table5")
     rows = []
     rate = data_rate(model.codebook, N_CHANNEL_USES)
@@ -350,7 +298,7 @@ def _recipe_table5(ctx: RecipeContext, manifest: dict) -> None:
             rows.append({"threshold": threshold, "snr_db": snr_db,
                          "M1": state.M1, "outage": state.outage})
     _write(ctx, manifest, "m1_table", ("threshold", "snr_db", "M1", "outage"),
-           rows, _base_config(ctx, M=64, m=1, training_snr_db=5.0, K=ctx.probes))
+           rows, _model_config(ctx, model, K=ctx.probes))
 
 
 def _recipe_table6(ctx: RecipeContext, manifest: dict) -> None:
@@ -370,10 +318,8 @@ def _recipe_corrections_fig1(ctx: RecipeContext, manifest: dict) -> None:
     """GDR vs one-hot at M=8 with l2 normalization, trained at 10 dB."""
     ebn0 = [float(v) for v in range(0, 11, 2)]
     for m in (1, 2, 3, 4):
-        model, _ = trained_model(ctx, 8, m, 10.0, f"cfig1-m8x{m}")
-        recs = _sweep(model, ctx, f"cfig1-m8x{m}", ebn0, "ebn0_db")
-        _write(ctx, manifest, f"m8_order{m}", metrics.EVALUATE_COLUMNS, recs,
-               _base_config(ctx, M=8, m=m, training_snr_db=10.0))
+        _sweep_curve(ctx, manifest, f"m8_order{m}", 8, m, 10.0, f"cfig1-m8x{m}",
+                     ebn0, "ebn0_db")
 
 
 def _recipe_corrections_fig2(ctx: RecipeContext, manifest: dict) -> None:

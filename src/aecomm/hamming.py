@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import sigma2_from_ebn0
+from .channel import sigma2_from_ebn0, spawn_rng
 from .errors import DomainError, ShapeError
-from .metrics import CHUNK_BLOCKS
+from .metrics import CHUNK_BLOCKS, wald_ci95
 
 K_BITS = 4
 N_BITS = 7
@@ -147,3 +147,15 @@ def baseline_block_errors(scheme: str, ebn0_db: float, blocks: int, rng) -> dict
         "ber": bit_errors / (blocks * K_BITS),
         "bler": block_errors / blocks,
     }
+
+
+def baseline_sweep(scheme: str, points, blocks: int, key) -> list[dict]:
+    """BER of one baseline scheme over an Eb/N0 axis; point i draws from
+    spawn_rng(*key, i). Rows follow metrics.BASELINE_COLUMNS."""
+    rows = []
+    for i, ebn0_db in enumerate(points):
+        c = baseline_block_errors(scheme, ebn0_db, blocks, spawn_rng(*key, i))
+        rows.append({"scheme": scheme, "ebn0_db": ebn0_db, "ber": c["ber"],
+                     "ber_ci95": wald_ci95(c["bit_errors"], c["bits"]),
+                     "blocks_simulated": c["blocks"]})
+    return rows

@@ -7,12 +7,12 @@ carries the full config echo so a rerun can be checked byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, awgn
-from .codebooks import Codebook, decode_batch, gray_bit_errors
+from .channel import ChannelSpec, awgn, spawn_rng
+from .codebooks import Codebook, data_rate, decode_batch, gray_bit_errors
 from .errors import DomainError
 
 # Wald interval; flag estimates backed by fewer error events than this
@@ -45,10 +45,9 @@ class MetricRecord:
     bler_ci95: float
     ber_ci95: float
     low_confidence: bool
-    extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        d = {
+        return {
             "scheme": self.scheme,
             "snr_kind": self.snr_kind,
             "snr_db": self.snr_db,
@@ -62,8 +61,6 @@ class MetricRecord:
             "mse": self.mse,
             "low_confidence": self.low_confidence,
         }
-        d.update(self.extra)
-        return d
 
 
 EVALUATE_COLUMNS = ("scheme", "snr_kind", "snr_db", "blocks", "block_errors",
@@ -77,8 +74,7 @@ ANALYSIS_COLUMNS = ("sigma2", "signal_term", "noise_term", "predicted_total",
 
 
 def estimate_bler(model, codebook: Codebook | None, spec: ChannelSpec,
-                  blocks: int, rng, scheme: str | None = None,
-                  extra: dict | None = None) -> MetricRecord:
+                  blocks: int, rng, scheme: str | None = None) -> MetricRecord:
     """Transmit uniform random messages and count block/bit errors.
 
     BER uses gray-coded message labels over the codebook's bits_per_message.
@@ -130,8 +126,18 @@ def estimate_bler(model, codebook: Codebook | None, spec: ChannelSpec,
         bler_ci95=float(wald_ci95(block_errors, blocks)),
         ber_ci95=float(wald_ci95(bit_errors, bits)),
         low_confidence=block_errors < MIN_ERROR_EVENTS,
-        extra=dict(extra) if extra else {},
     )
+
+
+def sweep(model, kind: str, points, blocks: int, key,
+          scheme: str | None = None) -> list[MetricRecord]:
+    """Evaluate a model over an Eb/N0 (kind "ebn0_db") or SNR ("snr_db")
+    axis; point i draws from spawn_rng(*key, i), so it reproduces alone."""
+    rate = data_rate(model.codebook, model.n)
+    make_spec = ChannelSpec.from_ebn0 if kind == "ebn0_db" else ChannelSpec.from_snr_db
+    return [estimate_bler(model, None, make_spec(model.n, rate, point), blocks,
+                          spawn_rng(*key, i), scheme=scheme)
+            for i, point in enumerate(points)]
 
 
 def format_value(v) -> str:

@@ -292,9 +292,8 @@ class _CheckpointReader:
         return line[len(prefix):]
 
 
-def load_checkpoint(path, expect_M: int | None = None,
-                    expect_n: int | None = None) -> Autoencoder:
-    """Restore a model; optional expectations guard cross-experiment reuse."""
+def load_checkpoint(path) -> Autoencoder:
+    """Restore a model, refusing any file that is not a well-formed checkpoint."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     reader = _CheckpointReader(lines, path)
@@ -367,13 +366,4 @@ def load_checkpoint(path, expect_M: int | None = None,
         b[...] = bias
     if reader.next_line() != "[end]":
         raise CheckpointTruncatedError(f"{path}: missing [end] marker")
-
-    if expect_M is not None and M != expect_M:
-        raise CheckpointDimensionError(
-            f"{path}: checkpoint has M={M}, experiment expects M={expect_M}"
-        )
-    if expect_n is not None and n != expect_n:
-        raise CheckpointDimensionError(
-            f"{path}: checkpoint has n={n}, experiment expects n={expect_n}"
-        )
     return model

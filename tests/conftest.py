@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from aecomm.codebooks import build_gdr, build_onehot
-from aecomm.model import TrainingConfig, build_model, train
+from aecomm import figures
 
-N_CHANNEL_USES = 7
+N_CHANNEL_USES = figures.N_CHANNEL_USES
 
 # verdict lines from the release-gate suite, replayed after the test table
 _GATE_LINES = []
@@ -23,29 +22,9 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(scope="session")
 def model_zoo():
-    """Trained-model cache shared across the whole session.
-
-    Training the same configuration twice is pure waste (it is
-    deterministic), so acceptance and unit tests draw from one pool.
-    """
-    cache = {}
-
-    def get(M, m, snr, seed, epochs=150):
-        snr_key = tuple(snr) if isinstance(snr, (tuple, list)) else float(snr)
-        key = (M, m, snr_key, seed, epochs)
-        if key not in cache:
-            codebook = build_onehot(M) if m == 1 else build_gdr(M, m)
-            model = build_model(codebook, N_CHANNEL_USES, seed=seed)
-            kwargs = dict(epochs=epochs, seed=seed)
-            if isinstance(snr_key, tuple):
-                kwargs["training_snr_set_db"] = snr_key
-            else:
-                kwargs["training_snr_db"] = snr_key
-            trace = train(model, TrainingConfig(**kwargs))
-            cache[key] = (model, trace)
-        return cache[key]
-
-    return get
+    """The recipes' trained-model cache, `figures.trained_model`: training is
+    deterministic, so tests and recipes share every model they both need."""
+    return figures.trained_model
 
 
 @pytest.fixture()

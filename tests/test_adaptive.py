@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from aecomm import metrics
 from aecomm.adaptive import (
     AdaptiveState,
+    adaptive_sweep,
     probe_mses,
     run_adaptive,
     select_vectors,
     selected_codebook,
 )
 from aecomm.channel import ChannelSpec, spawn_rng
-from aecomm.codebooks import build_onehot
+from aecomm.codebooks import build_gdr, build_onehot, data_rate
 from aecomm.errors import DomainError
 from aecomm.model import build_model
 
@@ -134,3 +136,25 @@ def test_selected_codebook_maps_back_to_parent():
     np.testing.assert_array_equal(parents, [2, 9, 17, 33])
     np.testing.assert_array_equal(sub.entries, model.codebook.entries[[2, 9, 17, 33]])
     assert sub.bits_per_message == 2
+
+
+def test_adaptive_sweep_point_i_is_the_direct_call_on_its_stream():
+    model = build_model(build_gdr(8, 4), 7, seed=2)
+    snrs, key = [-3.0, 2.0, 9.0], (5, 1)
+    rows = adaptive_sweep(model, snrs, 0.5, 2, 400, key)
+    assert set(metrics.ADAPTIVE_COLUMNS) < set(rows[0])
+    for i, snr_db in enumerate(snrs):
+        spec = ChannelSpec.from_snr_db(7, data_rate(model.codebook, 7), snr_db)
+        rng = spawn_rng(*key, i)
+        state = run_adaptive(model, spec, 0.5, 2, rng)
+        sub, _ = selected_codebook(model, state)
+        rec = metrics.estimate_bler(model, sub, spec, 400, rng, scheme="adaptive")
+        assert rows[i] == {
+            "snr_db": snr_db, "threshold": 0.5, "K": 2, "M1": state.M1,
+            "outage": state.outage, "rate_bits_per_use": state.rate_bits_per_use,
+            "bler": rec.bler, "bler_ci95": rec.bler_ci95, "mse": rec.mse,
+            "blocks": 400,
+        }
+    # a point does not depend on the rest of the axis: alone, or among others
+    assert adaptive_sweep(model, snrs[:1], 0.5, 2, 400, key) == rows[:1]
+    assert adaptive_sweep(model, [0.0, snrs[1]], 0.5, 2, 400, key)[1] == rows[1]

@@ -43,11 +43,71 @@ def test_eval_blocks_precedence():
     assert RecipeContext(out_dir=".", paper_scale=True, blocks=777).eval_blocks == 777
 
 
-def test_trained_model_is_cached(tmp_path):
-    ctx = RecipeContext(out_dir=str(tmp_path), epochs=1, train_samples=200)
-    a, _ = figures.trained_model(ctx, 4, 1, 10.0, "cache-check")
-    b, _ = figures.trained_model(ctx, 4, 1, 10.0, "cache-check")
+# small enough that all 16 recipes run in seconds; master seed 99 would hit
+# a DegenerateInputError in fig10 at this scale
+TINY = dict(master_seed=1234, epochs=2, train_samples=450, blocks=3000, probes=3)
+
+
+def test_trained_model_is_cached(model_zoo, monkeypatch, tmp_path):
+    a, _ = figures.trained_model(4, 1, 10.0, seed=77, epochs=1, train_samples=200)
+    b, _ = figures.trained_model(4, 1, 10.0, seed=77, epochs=1, train_samples=200)
     assert a is b
+    # the tests' model_zoo and the recipes hand out the same objects
+    zoo_model, _ = model_zoo(16, 1, 10.0, derive_seed(1234, "train", "fig3-m16"),
+                             epochs=2, train_samples=450)
+    swept = []
+    sweep = metrics.sweep
+    monkeypatch.setattr(metrics, "sweep",
+                        lambda model, *a, **k: swept.append(model) or sweep(model, *a, **k))
+    run_figure("fig3", RecipeContext(out_dir=str(tmp_path), **TINY))
+    assert len(swept) == 1 and swept[0] is zoo_model
+
+
+@pytest.fixture(scope="module")
+def tiny_recipes(tmp_path_factory):
+    """Every recipe run once at the TINY context into one directory."""
+    out = tmp_path_factory.mktemp("recipes")
+    ctx = RecipeContext(out_dir=str(out), **TINY)
+    return out, {name: run_figure(name, ctx) for name in ALL_RECIPES}
+
+
+def test_every_recipe_writes_exactly_what_its_manifest_lists(tiny_recipes):
+    out, manifests = tiny_recipes
+    written = set()
+    for name, manifest in manifests.items():
+        with open(out / f"{name}_manifest.json") as fh:
+            assert json.load(fh) == json.loads(json.dumps(manifest))
+        written.add(f"{name}_manifest.json")
+        assert manifest["files"] and set(manifest["files"]) == set(manifest["configs"])
+        for curve, filename in manifest["files"].items():
+            written.add(filename)
+            lines = (out / filename).read_text().splitlines()
+            echo = [line for line in lines if line.startswith("# ")]
+            header, *rows = lines[len(echo):]
+            assert echo == [f"# {k} = {metrics.format_value(v)}"
+                            for k, v in sorted(manifest["configs"][curve].items())]
+            # every row fills every column the header names
+            columns = header.split(",")
+            assert rows, filename
+            for row in rows:
+                cells = row.split(",")
+                assert len(cells) == len(columns) and all(cells), (filename, row)
+    assert set(os.listdir(out)) == written
+
+
+def test_cli_evaluate_reproduces_the_recipe_curve(tiny_recipes, tmp_path, capsys):
+    out, manifests = tiny_recipes
+    model, _ = figures.trained_model(4, 1, 10.0, derive_seed(1234, "train", "fig4-m4"),
+                                     epochs=2, train_samples=450)
+    ckpt = tmp_path / "m4.ckpt"
+    save_checkpoint(model, str(ckpt))
+    csv = tmp_path / "m4.csv"
+    assert run_cli("evaluate", "--checkpoint", ckpt, "--ebn0", "0:8:1",
+                   "--blocks", 3000, "--seed", derive_seed(1234, "eval", "fig4-m4"),
+                   "--out", csv) == 0
+    _, cli_rows = metrics.read_csv(csv)
+    _, recipe_rows = metrics.read_csv(out / manifests["fig4"]["files"]["onehot_m4"])
+    assert cli_rows == recipe_rows
 
 
 def test_matched_rate_report():

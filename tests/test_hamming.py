@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from aecomm.channel import spawn_rng
 from aecomm.errors import DomainError, ShapeError
 from aecomm.hamming import (
     CODEWORDS,
@@ -12,6 +13,7 @@ from aecomm.hamming import (
     PARITY_CHECK,
     RATE,
     baseline_block_errors,
+    baseline_sweep,
     bpsk_demod_hard,
     bpsk_modulate,
     hamming_decode_hd,
@@ -19,6 +21,7 @@ from aecomm.hamming import (
     hamming_encode,
     syndrome,
 )
+from aecomm.metrics import BASELINE_COLUMNS, wald_ci95
 
 ALL_MESSAGES = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.int64)
 
@@ -134,3 +137,18 @@ def test_encode_rejects_wrong_width():
         hamming_encode([0, 1, 0])
     with pytest.raises(ShapeError):
         hamming_decode_hd([0, 1, 0, 1])
+
+
+@pytest.mark.parametrize("scheme", ["hamming_hd", "hamming_ml", "uncoded_bpsk"])
+def test_baseline_sweep_point_i_is_the_direct_call_on_its_stream(scheme):
+    points, key = [0.0, 3.0, 6.0], (8, 2)
+    rows = baseline_sweep(scheme, points, 900, key)
+    assert [list(r) for r in rows] == [list(BASELINE_COLUMNS)] * 3
+    for i, ebn0_db in enumerate(points):
+        c = baseline_block_errors(scheme, ebn0_db, 900, spawn_rng(*key, i))
+        assert rows[i] == {"scheme": scheme, "ebn0_db": ebn0_db, "ber": c["ber"],
+                           "ber_ci95": wald_ci95(c["bit_errors"], c["bits"]),
+                           "blocks_simulated": 900}
+    # a point does not depend on the rest of the axis: alone, or among others
+    assert baseline_sweep(scheme, points[:1], 900, key) == rows[:1]
+    assert baseline_sweep(scheme, [9.0, 9.5, points[2]], 900, key)[2] == rows[2]

@@ -3,7 +3,8 @@ import pytest
 
 from aecomm import metrics
 from aecomm.channel import ChannelSpec, awgn, spawn_rng
-from aecomm.codebooks import build_gdr, build_onehot, gray_bit_errors, subset_codebook
+from aecomm.codebooks import (build_gdr, build_onehot, data_rate, gray_bit_errors,
+                              subset_codebook)
 from aecomm.errors import DomainError
 from aecomm.metrics import (
     CHUNK_BLOCKS,
@@ -11,6 +12,7 @@ from aecomm.metrics import (
     estimate_bler,
     format_value,
     read_csv,
+    sweep,
     wald_ci95,
     write_csv,
 )
@@ -199,3 +201,21 @@ def test_metric_record_serializes_through_csv(tmp_path, model_zoo):
     assert int(rows[0]["blocks"]) == rec.blocks
     assert float(rows[0]["bler"]) == rec.bler
     assert rows[0]["snr_kind"] == "ebn0_db"
+
+
+@pytest.mark.parametrize("kind,make_spec", [("ebn0_db", ChannelSpec.from_ebn0),
+                                            ("snr_db", ChannelSpec.from_snr_db)])
+def test_sweep_point_i_is_the_direct_call_on_its_stream(kind, make_spec):
+    model = build_model(build_gdr(8, 2), 7, seed=1)
+    points, key = [-2.0, 3.0, 8.0], (9, 4)
+    recs = sweep(model, kind, points, 700, key)
+    rate = data_rate(model.codebook, 7)
+    for i, point in enumerate(points):
+        direct = estimate_bler(model, None, make_spec(7, rate, point), 700,
+                               spawn_rng(*key, i))
+        assert recs[i] == direct
+        assert recs[i].snr_kind == kind
+    # a point does not depend on the rest of the axis: alone, or among others
+    assert sweep(model, kind, points[:1], 700, key) == recs[:1]
+    assert sweep(model, kind, [20.0, 21.0, points[2]], 700, key)[2] == recs[2]
+    assert sweep(model, kind, points[:1], 700, key, scheme="lbl")[0].scheme == "lbl"

@@ -169,7 +169,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     trace = train(model, _quick_config(seed=6))
     path = tmp_path / "m8.ckpt"
     save_checkpoint(model, path)
-    loaded = load_checkpoint(path, expect_M=8, expect_n=7)
+    loaded = load_checkpoint(path)
     assert loaded.params_checksum() == model.params_checksum()
     assert loaded.training_summary == model.training_summary
     y = np.random.default_rng(0).standard_normal((10, 7))
@@ -189,16 +189,6 @@ def test_checkpoint_round_trip_gdr_random_selection(tmp_path):
     np.testing.assert_array_equal(loaded.codebook.supports, model.codebook.supports)
     assert loaded.codebook.selection == "random"
     assert loaded.codebook.selection_seed == 5
-
-
-def test_checkpoint_rejects_dimension_mismatch(tmp_path):
-    model = build_model(build_onehot(8), 7, seed=0)
-    path = tmp_path / "m8.ckpt"
-    save_checkpoint(model, path)
-    with pytest.raises(CheckpointDimensionError):
-        load_checkpoint(path, expect_M=16)
-    with pytest.raises(CheckpointDimensionError):
-        load_checkpoint(path, expect_n=2)
 
 
 def test_checkpoint_rejects_non_finite_parameters(tmp_path):
