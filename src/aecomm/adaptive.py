@@ -41,17 +41,26 @@ def probe_mses(model, spec: ChannelSpec, K: int, rng) -> np.ndarray:
     """Average over K channel realizations of per-entry reconstruction MSE.
 
     K=1 is the single-shot probe of the published procedure; larger K
-    trades probe cost for a stabler selection.
+    trades probe cost for a stabler selection. The probes go through the
+    channel and the receiver as one batch, in groups of at most CHUNK_BLOCKS
+    rows; the noise is drawn in probe order, and each probe's per-entry
+    errors are added to the total in probe order.
     """
     if K < 1:
         raise DomainError(f"probes per vector must be >= 1, got {K}")
     entries = model.codebook.entries
+    count = entries.shape[0]
     x = model.transmit(entries)
-    total = np.zeros(entries.shape[0])
-    for _ in range(K):
-        y = awgn(x, spec.sigma2, rng)
-        p = model.receive(y)
-        total += np.sum((p - entries) ** 2, axis=1)
+    total = np.zeros(count)
+    group = max(1, metrics.CHUNK_BLOCKS // count)
+    for done in range(0, K, group):
+        g = min(group, K - done)
+        p = model.receive(awgn(np.tile(x, (g, 1)), spec.sigma2, rng))
+        d = p.reshape(g, count, -1)
+        d -= entries
+        np.square(d, out=d)
+        for errors in d.sum(axis=2):
+            total += errors
     return total / K
 
 

@@ -380,7 +380,7 @@ def run_figure(name: str, ctx: RecipeContext) -> dict:
     }
     RECIPES[name][1](ctx, manifest)
     path = os.path.join(ctx.out_dir, f"{name}_manifest.json")
-    with open(path, "w") as fh:
+    with metrics.atomic_write(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest

@@ -7,6 +7,8 @@ carries the full config echo so a rerun can be checked byte for byte.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +155,32 @@ def format_value(v) -> str:
     return str(v)
 
 
+@contextmanager
+def atomic_write(path):
+    """Open path for writing text through a temp file beside it, which
+    replaces path (os.replace) only when the block completes; a write that
+    fails part-way leaves any earlier file at path as it was.
+
+    A symlink is written through: the temp file goes beside the file it
+    names. The temp file is flushed to disk before the replace, so a crash
+    of the system leaves the old file or the new one. The new file has a
+    new file's permissions, not the old file's, and path must name a
+    regular file or nothing yet (not, say, /dev/stdout).
+    """
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(path, columns, rows, config_echo: dict | None = None) -> None:
     """Comma-separated table with a '#'-prefixed config echo block.
 
@@ -167,7 +195,7 @@ def write_csv(path, columns, rows, config_echo: dict | None = None) -> None:
         if not isinstance(row, dict):
             row = row.as_dict()
         lines.append(",".join(format_value(row.get(c)) for c in columns))
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

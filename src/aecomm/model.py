@@ -26,9 +26,13 @@ from .errors import (
     DomainError,
     TrainingDivergedError,
 )
+from .metrics import atomic_write
 
 CHECKPOINT_MAGIC = "aecomm checkpoint"
 CHECKPOINT_VERSION = 1
+# receive fills its (B, M) output in row tiles of at most this many
+# elements (512 KB), so each tile's temporaries stay in cache
+RECEIVE_TILE_ELEMENTS = 1 << 16
 
 
 def theoretical_param_count(M: int, n: int) -> dict:
@@ -83,8 +87,16 @@ class Autoencoder:
     def receive(self, y):
         """Channel output(s) -> softmax probability vector(s)."""
         yb, single = nn.as_batch(y, self.n)
-        h = nn.dense(yb, self.W3, self.b3, nn.relu)
-        p = nn.dense(h, self.W4, self.b4, nn.softmax)
+        B = yb.shape[0]
+        p = np.empty((B, self.M))
+        # Tile sizes differ by at most one row. A short last tile would be
+        # wrong: BLAS multiplies one row, or a few, with other kernels that
+        # round differently, so its rows would not match the untiled product.
+        tiles = -(-B // max(1, RECEIVE_TILE_ELEMENTS // self.M))
+        for i in range(tiles):
+            t = slice(i * B // tiles, (i + 1) * B // tiles)
+            h = nn.dense(yb[t], self.W3, self.b3, nn.relu)
+            p[t] = nn.dense(h, self.W4, self.b4, nn.softmax)
         return p[0] if single else p
 
     def receiver_preactivation(self, y):
@@ -254,7 +266,7 @@ def save_checkpoint(model: Autoencoder, path) -> None:
         lines.append(f"bias {idx} {bias.shape[0]}")
         lines.append(_format_floats(bias))
     lines.append("[end]")
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

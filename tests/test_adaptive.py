@@ -10,7 +10,7 @@ from aecomm.adaptive import (
     select_vectors,
     selected_codebook,
 )
-from aecomm.channel import ChannelSpec, spawn_rng
+from aecomm.channel import ChannelSpec, awgn, spawn_rng
 from aecomm.codebooks import build_gdr, build_onehot, data_rate
 from aecomm.errors import DomainError
 from aecomm.model import build_model
@@ -102,6 +102,30 @@ def test_probe_is_seed_deterministic():
     a = probe_mses(model, spec, 5, spawn_rng(3, 0))
     b = probe_mses(model, spec, 5, spawn_rng(3, 0))
     np.testing.assert_array_equal(a, b)
+
+
+def _probe_loop(model, spec, K, rng):
+    """K separate probes of every entry, summed in probe order."""
+    entries = model.codebook.entries
+    x = model.transmit(entries)
+    total = np.zeros(len(entries))
+    for _ in range(K):
+        p = model.receive(awgn(x, spec.sigma2, rng))
+        total += np.sum((p - entries) ** 2, axis=1)
+    return total / K
+
+
+@pytest.mark.parametrize("codebook", [build_onehot(64), build_gdr(8, 4)],
+                         ids=["onehot_m64", "gdr_m8x4"])
+@pytest.mark.parametrize("K", [1, 3, 100, 1025])
+def test_batched_probe_equals_probe_loop_bit_for_bit(codebook, K):
+    # K = 1025 spans two groups of CHUNK_BLOCKS rows at 64 entries
+    model = build_model(codebook, 7, seed=4)
+    spec = ChannelSpec.from_snr_db(7, data_rate(codebook, 7), 2.0)
+    batched, looped = spawn_rng(6, K), spawn_rng(6, K)
+    np.testing.assert_array_equal(probe_mses(model, spec, K, batched),
+                                  _probe_loop(model, spec, K, looped))
+    assert batched.standard_normal() == looped.standard_normal()
 
 
 def test_run_adaptive_requires_64_entries():

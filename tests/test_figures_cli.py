@@ -22,6 +22,26 @@ def test_available_recipes_complete_and_sorted():
     assert available_recipes() == ALL_RECIPES
 
 
+def test_manifest_write_that_fails_part_way_keeps_the_previous_manifest(
+        tmp_path, monkeypatch):
+    def recipe(ctx, manifest):
+        manifest["configs"]["curve"] = config
+
+    monkeypatch.setitem(figures.RECIPES, "partial", ("a recipe that may fail", recipe))
+    ctx = RecipeContext(out_dir=str(tmp_path))
+    config = {"M": 4}
+    run_figure("partial", ctx)
+    path = tmp_path / "partial_manifest.json"
+    before = path.read_bytes()
+    # json.dump writes the keys before "configs", then meets an object it
+    # cannot serialize
+    config = {"M": object()}
+    with pytest.raises(TypeError):
+        run_figure("partial", ctx)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["partial_manifest.json"]
+
+
 def test_unknown_recipe_lists_alternatives(tmp_path):
     ctx = RecipeContext(out_dir=str(tmp_path))
     with pytest.raises(UnknownRecipeError, match="fig9"):

@@ -9,6 +9,7 @@ from aecomm.errors import DomainError
 from aecomm.metrics import (
     CHUNK_BLOCKS,
     EVALUATE_COLUMNS,
+    atomic_write,
     estimate_bler,
     format_value,
     read_csv,
@@ -219,3 +220,32 @@ def test_sweep_point_i_is_the_direct_call_on_its_stream(kind, make_spec):
     assert sweep(model, kind, points[:1], 700, key) == recs[:1]
     assert sweep(model, kind, [20.0, 21.0, points[2]], 700, key)[2] == recs[2]
     assert sweep(model, kind, points[:1], 700, key, scheme="lbl")[0].scheme == "lbl"
+
+
+def test_atomic_write_that_fails_part_way_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, ("a",), [{"a": 1}])
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("half a fi")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    with atomic_write(path) as fh:
+        fh.write("whole\n")
+    assert path.read_text() == "whole\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_atomic_write_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "data" / "out.csv"
+    target.parent.mkdir()
+    target.write_text("old\n")
+    link = tmp_path / "out.csv"
+    link.symlink_to(target)
+    with atomic_write(link) as fh:
+        fh.write("new\n")
+    assert link.is_symlink()
+    assert target.read_text() == "new\n"
+    assert [p.name for p in target.parent.iterdir()] == ["out.csv"]

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from aecomm import nn
 from aecomm.codebooks import build_gdr, build_onehot
 from aecomm.errors import (
     CheckpointDimensionError,
@@ -15,6 +16,7 @@ from aecomm.errors import (
     TrainingDivergedError,
 )
 from aecomm.model import (
+    RECEIVE_TILE_ELEMENTS,
     TrainingConfig,
     build_model,
     load_checkpoint,
@@ -269,3 +271,31 @@ def test_end_to_end_noiseless_round_trip(model_zoo):
     ids = np.arange(4)
     p = model.receive(model.transmit(model.codebook.encode(ids)))
     assert np.all(np.argmax(p, axis=1) == ids)
+
+
+def _untiled_receive(model, y):
+    h = nn.dense(y, model.W3, model.b3, nn.relu)
+    return nn.dense(h, model.W4, model.b4, nn.softmax)
+
+
+@pytest.mark.parametrize("codebook", [build_onehot(4), build_onehot(16),
+                                      build_onehot(64), build_gdr(8, 4)],
+                         ids=["onehot_m4", "onehot_m16", "onehot_m64", "gdr_m8x4"])
+def test_tiled_receive_equals_untiled_product_bit_for_bit(codebook):
+    # Exact equality asks that the BLAS round each row of a tile of hundreds
+    # of rows as it does in the full product. OpenBLAS 0.3.x with one thread
+    # does; a failure under another BLAS build or thread count may say that
+    # the library rounds per shape, not that receive is wrong.
+    model = build_model(codebook, 7, seed=3)
+    rng = np.random.default_rng(8)
+    model.b3[...] = rng.uniform(-0.5, 0.5, model.b3.shape)
+    model.b4[...] = rng.uniform(-0.5, 0.5, model.b4.shape)
+    rows = RECEIVE_TILE_ELEMENTS // model.M
+    for B in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3):
+        y = 2.0 * rng.standard_normal((B, 7))
+        p = model.receive(y)
+        assert p.shape == (B, model.M)
+        np.testing.assert_array_equal(p, _untiled_receive(model, y), err_msg=f"B={B}")
+    single = model.receive(y[5])
+    assert single.shape == (model.M,)
+    np.testing.assert_array_equal(single, _untiled_receive(model, y[5:6])[0])

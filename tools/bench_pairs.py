@@ -1,0 +1,200 @@
+"""Pair benchmark runs of two checkouts and write a BENCH_<label>.json record.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --label receive_tiles \
+        --workloads train,sweep_onehot,sweep_gdr,baseline,adaptive --seeds 11-15
+
+Each checkout runs its own `perfbench/run.py --workload W --seed S
+--seconds T --trace 0` in a subprocess, one run at a time, with T the
+`run_seconds` of the change's BENCHMARK.json. For each seed every workload
+runs on both sides before the next seed; odd seeds run the parent first
+and even seeds the change first. Per workload and gated metric the record
+holds every run, the pairs each side won (a tie counts for neither), numpy
+linear quartiles, the median change in percent and the parent's
+interquartile range. The record is written to the current directory.
+
+--stages also times one 65,536-block chunk per perfbench fixture on each
+side: receive and estimate_bler, in a process pinned to one CPU with one
+BLAS thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+GATED = ("pass_cost", "setup_s", "peak_rss_mb")
+SIDES = ("parent", "change")
+CHUNK = 1 << 16
+
+# run inside a checkout; prints per-fixture timings as one JSON object
+STAGE_SNIPPET = r"""
+import json, os, statistics, sys, time
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, "src")
+import numpy as np
+from aecomm.channel import ChannelSpec, awgn, spawn_rng
+from aecomm.codebooks import data_rate
+from aecomm.metrics import estimate_bler
+from aecomm.model import load_checkpoint
+
+CHUNK = 1 << 16
+
+def median_ms(fn, repeats):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return round(1e3 * statistics.median(times), 1)
+
+out = {}
+for name in ("onehot_m16", "onehot_m64", "gdr_m8x4"):
+    m = load_checkpoint(f"perfbench/fixtures/{name}.ckpt")
+    spec = ChannelSpec.from_ebn0(m.n, data_rate(m.codebook, m.n), 4.0)
+    ids = np.random.default_rng(0).integers(0, len(m.codebook), size=CHUNK)
+    y = awgn(m.transmit(m.codebook.entries)[ids], spec.sigma2, np.random.default_rng(1))
+    receive = median_ms(lambda: m.receive(y), 15)
+    bler = median_ms(lambda: estimate_bler(m, None, spec, CHUNK, spawn_rng(0)), 7)
+    out[name] = {"receive": receive, "estimate_bler": bler,
+                 "mblocks_per_s": round(CHUNK / bler / 1e3, 2)}
+print(json.dumps(out))
+"""
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'11-15' or '11,12,14' -> a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run; its result line, `#` metrics, environment and
+    reference match."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {done.returncode}\n"
+                         f"{done.stderr}")
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    run = {"seed": seed, "failed": result["failed"], "attempted": result["attempted"]}
+    run.update({k: m["value"] for k, m in result["metrics"].items()})
+    environment = report = None
+    for line in lines[:-1]:
+        if line.startswith("# environment "):
+            environment = json.loads(line[len("# environment "):])
+        elif line.startswith("# report "):
+            report = json.loads((checkout / line[len("# report "):]).read_text())
+        elif line.startswith("# ") and " = " in line:
+            name, _, value = line[2:].partition(" = ")
+            if name.endswith("_per_s"):
+                run[name] = float(value.split()[0])
+    run["reference_match"] = next(v for k, v in report.items() if k.endswith("_match"))
+    return {"run": run, "environment": environment}
+
+
+def quartiles(values) -> list[float]:
+    return [round(float(q), 4) for q in np.percentile(values, [25, 50, 75])]
+
+
+def summarize(parent: list[dict], change: list[dict]) -> dict:
+    summary = {}
+    for metric in GATED:
+        a = [r[metric] for r in parent]
+        b = [r[metric] for r in change]
+        pq, cq = quartiles(a), quartiles(b)
+        summary[metric] = {
+            "pairs": len(a),
+            "change_wins": sum(y < x for x, y in zip(a, b)),
+            "parent_wins": sum(x < y for x, y in zip(a, b)),
+            "parent_q1_median_q3": pq,
+            "change_q1_median_q3": cq,
+            "median_change_pct": round(100.0 * (cq[1] - pq[1]) / pq[1], 1),
+            "parent_iqr": round(pq[2] - pq[0], 4),
+        }
+    return summary
+
+
+def stages(checkout: Path) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", STAGE_SNIPPET], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
+    parser.add_argument("--change", type=Path, required=True, help="changed checkout")
+    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    parser.add_argument("--workloads", default="train,sweep_onehot,sweep_gdr,baseline,adaptive")
+    parser.add_argument("--seeds", default="11-15", help="e.g. 11-15 or 11,13")
+    parser.add_argument("--stages", action="store_true",
+                        help="also time receive and estimate_bler on one chunk per fixture")
+    args = parser.parse_args(argv)
+
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["run_seconds"]
+    workloads = args.workloads.split(",")
+    runs = {w: {side: [] for side in SIDES} for w in workloads}
+    environment = {}
+    for seed in parse_seeds(args.seeds):
+        order = SIDES if seed % 2 else SIDES[::-1]
+        for workload in workloads:
+            for side in order:
+                out = run_once(checkouts[side], workload, seed, seconds)
+                out["run"]["ran_first"] = side == order[0]
+                runs[workload][side].append(out["run"])
+                environment[side] = out["environment"]
+                print(f"seed {seed} {workload} {side}: pass_cost "
+                      f"{out['run']['pass_cost']:.4f} failed {out['run']['failed']}",
+                      file=sys.stderr, flush=True)
+
+    env = {k: v for k, v in environment["change"].items() if k != "aecomm_commit"}
+    record = {
+        "label": args.label,
+        "parent_commit": environment["parent"].get("aecomm_commit"),
+        "change_commit": environment["change"].get("aecomm_commit"),
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {seconds:g} --trace 0",
+        "protocol": "tools/bench_pairs.py: parent and change checkouts, run one at a "
+                    f"time; seeds {args.seeds}; for each seed all workloads run on both "
+                    "sides before the next seed; odd seeds run the parent first, even "
+                    "seeds the change first. Quartiles are numpy linear percentiles; a "
+                    "pair is won by the side with the lower value, ties count for "
+                    "neither.",
+        "environment": env,
+        "workloads": {
+            w: {"summary": summarize(r["parent"], r["change"]),
+                "failed_total": {side: sum(x["failed"] for x in r[side]) for side in SIDES},
+                **r}
+            for w, r in runs.items()
+        },
+    }
+    if args.stages:
+        record["chunk_stages_ms"] = {
+            "how": f"median of 15 receive calls and 7 estimate_bler calls on one "
+                   f"{CHUNK:,}-block chunk at Eb/N0 4 dB, one BLAS thread, pinned to "
+                   "one CPU",
+            **{side: stages(checkouts[side]) for side in SIDES},
+        }
+    path = Path(f"BENCH_{args.label}.json")
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
