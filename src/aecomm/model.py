@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,16 +24,19 @@ from .errors import (
     CheckpointTruncatedError,
     CheckpointVersionError,
     ConfigError,
+    DegenerateInputError,
     DomainError,
     TrainingDivergedError,
 )
-from .metrics import atomic_write
+from .metrics import CHUNK_BLOCKS, atomic_write
 
 CHECKPOINT_MAGIC = "aecomm checkpoint"
 CHECKPOINT_VERSION = 1
 # receive fills its (B, M) output in row tiles of at most this many
 # elements (512 KB), so each tile's temporaries stay in cache
 RECEIVE_TILE_ELEMENTS = 1 << 16
+# build_model redraws dead transmitter columns at most this many times
+MAX_INIT_REDRAWS = 100
 
 
 def theoretical_param_count(M: int, n: int) -> dict:
@@ -107,12 +111,44 @@ class Autoencoder:
         return hashlib.sha256(np.ascontiguousarray(self.theta, dtype="<f8")).hexdigest()
 
 
+def _dead_entries(model: Autoencoder) -> np.ndarray:
+    """Ids of the codebook entries whose transmitter output, before power
+    normalization, has a norm below nn.DEGENERATE_NORM_FLOOR: the entries
+    transmit refuses. The codebook goes through in CHUNK_BLOCKS slices."""
+    entries = model.codebook.entries
+    dead = []
+    for start in range(0, len(entries), CHUNK_BLOCKS):
+        h = nn.dense(entries[start:start + CHUNK_BLOCKS], model.W1, model.b1, nn.relu)
+        z = nn.dense(h, model.W2, model.b2)
+        norms = np.sqrt(np.add.reduce(z * z, axis=1))
+        dead.append(start + np.flatnonzero(norms < nn.DEGENERATE_NORM_FLOOR))
+    return np.concatenate(dead)
+
+
 def build_model(codebook: Codebook, n: int, seed=0) -> Autoencoder:
-    """Fresh autoencoder with seeded uniform weights and zero biases."""
+    """Fresh autoencoder with seeded uniform weights and zero biases.
+
+    A draw can leave an entry dead: W1 maps its support to no positive
+    hidden unit, so it transmits the zero vector, which power normalization
+    refuses. After the four Glorot draws, the W1 columns on the support of
+    every dead entry take the values of a fresh W1 draw from the same
+    generator, until every entry is live (at most MAX_INIT_REDRAWS times).
+    A draw with no dead entry keeps its plain Glorot weights.
+    """
     rng = np.random.default_rng(seed)
     model = Autoencoder(codebook, n)
     for W in (model.W1, model.W2, model.W3, model.W4):
         W[...] = nn.glorot_uniform(*W.shape, rng)
+    redraws = 0
+    while (dead := _dead_entries(model)).size:
+        if redraws == MAX_INIT_REDRAWS:
+            raise DegenerateInputError(
+                f"a transmitter output is still dead after {redraws} redraws of "
+                f"its W1 columns (seed {seed})"
+            )
+        redraws += 1
+        columns = np.flatnonzero(codebook.entries[dead].any(axis=0))
+        model.W1[:, columns] = nn.glorot_uniform(*model.W1.shape, rng)[:, columns]
     return model
 
 
@@ -190,6 +226,8 @@ def train(model: Autoencoder, config: TrainingConfig) -> TrainingTrace:
     adam = nn.AdamState(model.theta.size, config.learning_rate)
     count = len(model.codebook)
     n = model.n
+    # one workspace per batch size: the batch size and an epoch's short last batch
+    workspaces = {}
     if config.training_snr_set_db is not None:
         snr_choices = np.array(config.training_snr_set_db, dtype=np.float64)
     else:
@@ -210,8 +248,11 @@ def train(model: Autoencoder, config: TrainingConfig) -> TrainingTrace:
             else:
                 sigma2 = fixed_sigma
             noise = np.sqrt(sigma2) * rng.standard_normal((b, n))
-            loss, grad, _ = nn.backward_pass(params, s, noise)
-            if not np.isfinite(loss):
+            work = workspaces.get(b)
+            if work is None:
+                work = workspaces[b] = nn.Workspace(model.M, n, b)
+            loss, grad, _ = nn.backward_pass(params, s, noise, work)
+            if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, loss)
             nn.adam_step(adam, model.theta, grad)
             loss_sum += loss * b

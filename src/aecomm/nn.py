@@ -69,9 +69,10 @@ def softmax(z: np.ndarray, overwrite: bool = False) -> np.ndarray:
     overwrite=True lets the result replace z, saving a temporary.
     """
     z = np.asarray(z, dtype=np.float64)
-    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=z if overwrite else None)
+    e = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True),
+                    out=z if overwrite else None)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -80,11 +81,12 @@ def relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0, out=z)
 
 
-def dense(x: np.ndarray, W: np.ndarray, b: np.ndarray, activation=None) -> np.ndarray:
+def dense(x: np.ndarray, W: np.ndarray, b: np.ndarray, activation=None,
+          out: np.ndarray | None = None) -> np.ndarray:
     """activation(x @ W.T + b) for a batch; bias and activation work in place
-    on the product, which belongs to this call. activation is relu, softmax
-    or None (linear)."""
-    z = x @ W.T
+    on the product, which belongs to this call or is written into `out`.
+    activation is relu, softmax or None (linear)."""
+    z = np.matmul(x, W.T, out=out)
     z += b
     if activation is relu:
         return relu(z)
@@ -93,9 +95,12 @@ def dense(x: np.ndarray, W: np.ndarray, b: np.ndarray, activation=None) -> np.nd
     return z
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Per-row l2 norms, shaped (B, 1); a dead transmitter output is refused."""
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+def _row_norms(x: np.ndarray, out=None, squares=None) -> np.ndarray:
+    """Per-row l2 norms, shaped (B, 1), computed as np.linalg.norm does; a dead
+    transmitter output is refused. out and squares, (B, 1) and x-shaped,
+    receive the norms and the squared entries."""
+    squares = np.multiply(x, x, out=squares)
+    norms = np.sqrt(np.add.reduce(squares, axis=1, keepdims=True, out=out), out=out)
     if np.any(norms < DEGENERATE_NORM_FLOOR):
         raise DegenerateInputError(
             f"vector norm below {DEGENERATE_NORM_FLOOR:g}; transmitter output is dead"
@@ -115,53 +120,92 @@ def power_normalize(x):
     return y[0] if single else y
 
 
-def backward_pass(params, s: np.ndarray, noise):
+class Workspace:
+    """Every buffer backward_pass writes for a (B, M) batch through an
+    n-use channel: the intermediates, the flat gradient with its eight views
+    (grads, as split cuts them) and the softmax output p.
+
+    A workspace serves any number of calls at its shape, one at a time;
+    each call overwrites what the previous one returned.
+    """
+
+    def __init__(self, M: int, n: int, B: int):
+        self.grad = np.empty(param_count(M, n))
+        self.grads = split(self.grad, M, n)
+        self.h1, self.h3, self.p = (np.empty((B, M)) for _ in range(3))
+        self.z2, self.y = np.empty((B, n)), np.empty((B, n))
+        self.norms, self.scale = np.empty((B, 1)), np.empty((B, 1))
+        # scratch: (B, M) and (B, n) products, per-row sums, relu masks
+        self.g, self.gM, self.tM = (np.empty((B, M)) for _ in range(3))
+        self.gn, self.tn = np.empty((B, n)), np.empty((B, n))
+        self.row, self.col = np.empty(B), np.empty((B, 1))
+        self.mask = np.empty((B, M), dtype=bool)
+
+
+def backward_pass(params, s: np.ndarray, noise, work: Workspace | None = None):
     """Forward one (B, M) message batch through the channel, backpropagate.
 
     params are the eight views of theta (split); s is both the input and the
     target; noise is added to the power-normalized symbols (a (B, n) draw,
-    or 0.0 for a noiseless pass). Returns (loss, grad, p): the batch mean of
-    the per-sample squared error, its gradient as a flat buffer in theta's
-    order, and the softmax output.
+    or 0.0 for a noiseless pass). work is a Workspace for this (M, n, B),
+    like numpy's out=; a fresh one is made when it is None. Returns (loss,
+    grad, p): the batch mean of the per-sample squared error, its gradient
+    as a flat buffer in theta's order, and the softmax output. grad and p
+    are work.grad and work.p, overwritten by the next call on work.
     """
     W1, b1, W2, b2, W3, b3, W4, b4 = params
     n, M = W2.shape
-    grad = np.empty(param_count(M, n))
-    gW1, gb1, gW2, gb2, gW3, gb3, gW4, gb4 = split(grad, M, n)
+    B = s.shape[0]
+    if work is None:
+        work = Workspace(M, n, B)
+    elif work.g.shape != (B, M) or work.gn.shape != (B, n):
+        raise ShapeError(
+            f"workspace for batch {work.g.shape[0]}, M={work.g.shape[1]}, "
+            f"n={work.gn.shape[1]} cannot take a ({B}, {M}) batch at n={n}"
+        )
+    gW1, gb1, gW2, gb2, gW3, gb3, gW4, gb4 = work.grads
 
-    h1 = dense(s, W1, b1, relu)
-    z2 = dense(h1, W2, b2)
-    norms = _row_norms(z2)
-    scale = np.sqrt(n) / norms
-    y = scale * z2
+    h1 = dense(s, W1, b1, relu, out=work.h1)
+    z2 = dense(h1, W2, b2, out=work.z2)
+    norms = _row_norms(z2, out=work.norms, squares=work.tn)
+    scale = np.divide(np.sqrt(n), norms, out=work.scale)
+    y = np.multiply(scale, z2, out=work.y)
     y += noise
-    h3 = dense(y, W3, b3, relu)
-    p = dense(h3, W4, b4, softmax)
+    h3 = dense(y, W3, b3, relu, out=work.h3)
+    p = dense(h3, W4, b4, softmax, out=work.p)
 
-    d = s - p
-    loss = float(np.mean(np.sum(d * d, axis=1)))
-    g = 2.0 * (p - s) / s.shape[0]
+    d = np.subtract(s, p, out=work.tM)
+    d *= d
+    loss = float(np.add.reduce(np.add.reduce(d, axis=1, out=work.row)) / B)
+    g = np.subtract(p, s, out=work.g)
+    g *= 2.0
+    g /= B
     # softmax Jacobian J = diag(p) - p p^T, applied row-wise
-    g = p * (g - np.sum(g * p, axis=1, keepdims=True))
+    g -= np.add.reduce(np.multiply(g, p, out=work.tM), axis=1, keepdims=True,
+                        out=work.col)
+    g *= p
     np.matmul(g.T, h3, out=gW4)
-    np.sum(g, axis=0, out=gb4)
-    g = g @ W4
+    np.add.reduce(g, axis=0, out=gb4)
+    g = np.matmul(g, W4, out=work.gM)
     # h > 0 exactly where z > 0, NaN included
-    g *= h3 > 0.0
+    g *= np.greater(h3, 0.0, out=work.mask)
     np.matmul(g.T, y, out=gW3)
-    np.sum(g, axis=0, out=gb3)
-    g = g @ W3
+    np.add.reduce(g, axis=0, out=gb3)
+    g = np.matmul(g, W3, out=work.gn)
     # the noise passes the gradient through; d/dz of sqrt(n) z/||z|| is
     # scale * (g - z (z.g)/||z||^2)
-    proj = np.sum(z2 * g, axis=1, keepdims=True) / (norms * norms)
-    g = scale * (g - z2 * proj)
+    proj = np.add.reduce(np.multiply(z2, g, out=work.tn), axis=1, keepdims=True,
+                         out=work.col)
+    proj /= np.multiply(norms, norms, out=work.norms)
+    g -= np.multiply(z2, proj, out=work.tn)
+    g *= scale
     np.matmul(g.T, h1, out=gW2)
-    np.sum(g, axis=0, out=gb2)
-    g = g @ W2
-    g *= h1 > 0.0
+    np.add.reduce(g, axis=0, out=gb2)
+    g = np.matmul(g, W2, out=work.g)
+    g *= np.greater(h1, 0.0, out=work.mask)
     np.matmul(g.T, s, out=gW1)
-    np.sum(g, axis=0, out=gb1)
-    return loss, grad, p
+    np.add.reduce(g, axis=0, out=gb1)
+    return loss, work.grad, p
 
 
 class AdamState:

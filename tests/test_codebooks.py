@@ -209,6 +209,19 @@ def test_gray_bit_errors_hand_values():
     np.testing.assert_array_equal(gray_bit_errors([0, 1], [1, 1]), [1, 0])
 
 
+def _gray_popcount(a: int, b: int) -> int:
+    return bin((a ^ (a >> 1)) ^ (b ^ (b >> 1))).count("1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, (1 << 63) - 1), st.integers(0, (1 << 63) - 1)),
+                min_size=1, max_size=32))
+def test_gray_bit_errors_is_the_popcount_of_gray_code_xor(pairs):
+    a, b = (np.array(ids, dtype=np.uint64) for ids in zip(*pairs))
+    expected = [_gray_popcount(x, y) for x, y in pairs]
+    np.testing.assert_array_equal(gray_bit_errors(a, b), expected)
+
+
 def test_manifest_round_trip_fields():
     cb = build_gdr(8, 2, selection="random", selection_seed=3)
     man = cb.manifest()

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aecomm import cli, figures, metrics
 from aecomm.errors import ConfigError, DomainError, UnknownRecipeError
@@ -181,6 +183,22 @@ class TestParseAxis:
         # an infinite point may name one (+inf SNR is noiseless); callers judge
         assert cli.parse_axis("0,inf") == [0.0, float("inf")]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=12))
+    def test_comma_list_round_trip(self, values):
+        assert cli.parse_axis(",".join(map(repr, values))) == values
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-1000, 1000), st.integers(1, 64), st.integers(1, 40))
+    def test_range_round_trip(self, start, quarters, count):
+        # quarter steps from an integer start keep every point exact
+        step = quarters / 4
+        stop = start + (count - 1) * step
+        points = cli.parse_axis(f"{float(start)!r}:{stop!r}:{step!r}")
+        assert points == [start + i * step for i in range(count)]
+        assert cli.parse_axis(",".join(map(repr, points))) == points
+
     def test_errors(self):
         with pytest.raises(ConfigError, match="start:stop:step"):
             cli.parse_axis("1:2:3:4")
@@ -250,6 +268,13 @@ class TestCliWorkflow:
     def test_figure_recipe_runs(self, capsys, tmp_path):
         assert run_cli("figure", "table6", "--out-dir", tmp_path) == 0
         assert (tmp_path / "table6_manifest.json").exists()
+
+    def test_figure_survives_a_dead_initial_transmitter(self, capsys, tmp_path):
+        # master seed 5 derives a fig4 M=4 training seed whose plain Glorot
+        # draw maps a message to the zero vector; build_model redraws it
+        assert run_cli("figure", "fig4", "--seed", 5, "--epochs", 1,
+                       "--train-samples", 100, "--blocks", 100, "--out-dir", tmp_path) == 0
+        assert (tmp_path / "fig4_manifest.json").exists()
 
     def test_train_evaluate_round_trip(self, capsys, tmp_path):
         ckpt = tmp_path / "m4.ckpt"

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from aecomm import model as model_module
 from aecomm import nn
+from aecomm.channel import snr_db_to_sigma2
 from aecomm.codebooks import build_gdr, build_onehot
 from aecomm.errors import (
     CheckpointDimensionError,
@@ -17,6 +19,7 @@ from aecomm.errors import (
 )
 from aecomm.model import (
     RECEIVE_TILE_ELEMENTS,
+    Autoencoder,
     TrainingConfig,
     build_model,
     load_checkpoint,
@@ -24,6 +27,7 @@ from aecomm.model import (
     theoretical_param_count,
     train,
 )
+from test_nn import reference_backward_pass
 
 TABLE_TOTALS = {4: 121, 8: 285, 16: 805, 32: 2613, 64: 9301}
 
@@ -93,11 +97,56 @@ def test_build_is_seed_deterministic():
 
 
 def test_dead_transmitter_initialization_is_detected():
-    # all-negative first-layer column for a one-hot input gives an exact
-    # zero pre-normalization vector at zero-bias init; seed 4 hits it at M=4
+    # an all-negative first-layer column for a one-hot input gives an exact
+    # zero pre-normalization vector at zero biases; build_model redraws such
+    # columns, so this one is made by hand
     model = build_model(build_onehot(4), 7, seed=4)
+    model.W1[:, 2] = -np.abs(model.W1[:, 2])
     with pytest.raises(DegenerateInputError):
         model.transmit(model.codebook.entries)
+
+
+def _plain_glorot(codebook, seed):
+    """build_model's four Glorot draws, with no redraw."""
+    rng = np.random.default_rng(seed)
+    model = Autoencoder(codebook, 7)
+    for W in (model.W1, model.W2, model.W3, model.W4):
+        W[...] = nn.glorot_uniform(*W.shape, rng)
+    return model
+
+
+@pytest.mark.parametrize("codebook", [build_onehot(4), build_gdr(8, 4)],
+                         ids=["onehot4", "gdr8x4"])
+def test_build_model_redraws_only_dead_transmitter_columns(codebook):
+    redrawn = 0
+    for seed in range(1000):
+        model = build_model(codebook, 7, seed=seed)
+        plain = _plain_glorot(codebook, seed)
+        model.transmit(codebook.entries)  # every entry is live
+        try:
+            plain.transmit(codebook.entries)
+        except DegenerateInputError:
+            redrawn += 1
+            # only W1 moves, on every column under a dead entry; at one-hot
+            # on no other, while a GDR redraw can kill an entry sharing a column
+            np.testing.assert_array_equal(np.delete(model.theta, range(model.W1.size)),
+                                          np.delete(plain.theta, range(plain.W1.size)))
+            moved = set(np.flatnonzero(np.any(model.W1 != plain.W1, axis=0)))
+            h = np.maximum(codebook.entries @ plain.W1.T, 0.0)
+            dead_support = set(codebook.supports[~np.any(h > 0.0, axis=1)].ravel())
+            assert dead_support <= moved
+            assert codebook.m > 1 or moved == dead_support
+        else:
+            assert model.params_checksum() == plain.params_checksum()
+    # 225 of these seeds draw a dead one-hot M=4 entry and 108 a dead GDR 8-of-4 one
+    assert redrawn == {4: 225, 8: 108}[codebook.M]
+
+
+def test_build_model_gives_up_after_max_redraws(monkeypatch):
+    monkeypatch.setattr(model_module, "MAX_INIT_REDRAWS", 0)
+    with pytest.raises(DegenerateInputError, match="after 0 redraws"):
+        build_model(build_onehot(4), 7, seed=4)
+    build_model(build_onehot(4), 7, seed=1)  # a live draw needs no redraw
 
 
 def test_training_config_validation():
@@ -156,6 +205,49 @@ def test_training_snr_set_draws_are_reproducible():
                                            training_snr_set_db=(0.0, 10.0, 20.0)))
         runs.append((trace.epoch_losses, model.params_checksum()))
     assert runs[0] == runs[1]
+
+
+def _reference_train(model, config):
+    """train's loop around test_nn's reference_backward_pass: the epoch
+    losses of the out-of-place training step."""
+    rng = np.random.default_rng(config.seed)
+    params = model.params()
+    adam = nn.AdamState(model.theta.size, config.learning_rate)
+    losses = []
+    for _ in range(config.epochs):
+        remaining = config.train_samples
+        loss_sum = 0.0
+        while remaining > 0:
+            b = min(config.batch_size, remaining)
+            remaining -= b
+            s = model.codebook.entries[rng.integers(0, len(model.codebook), size=b)]
+            if config.training_snr_set_db is not None:
+                snrs = rng.choice(np.array(config.training_snr_set_db), size=b)
+                sigma2 = snr_db_to_sigma2(snrs)[:, None]
+            else:
+                sigma2 = snr_db_to_sigma2(config.training_snr_db)
+            noise = np.sqrt(sigma2) * rng.standard_normal((b, model.n))
+            loss, grad, _ = reference_backward_pass(params, s, noise)
+            nn.adam_step(adam, model.theta, grad)
+            loss_sum += loss * b
+        losses.append(loss_sum / config.train_samples)
+    return losses
+
+
+@pytest.mark.parametrize("snr", [dict(training_snr_db=10.0),
+                                 dict(training_snr_set_db=(0.0, 5.0, 10.0, 15.0))],
+                         ids=["10dB", "snr_set"])
+def test_train_equals_reference_loop_bit_for_bit(snr):
+    # 20,000 samples in batches of 45 end each epoch on a batch of 20, so
+    # train uses two workspaces
+    config = TrainingConfig(epochs=3, seed=1, **snr)
+    reference = build_model(build_onehot(8), 7, seed=1)
+    losses = _reference_train(reference, config)
+    for _ in range(2):
+        model = build_model(build_onehot(8), 7, seed=1)
+        trace = train(model, config)
+        assert [v.hex() for v in trace.epoch_losses] == [v.hex() for v in losses]
+        assert trace.params_checksum == reference.params_checksum()
 
 
 def test_training_detects_divergence():

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from aecomm.codebooks import build_onehot
+from aecomm.codebooks import build_gdr, build_onehot
 from aecomm.errors import DegenerateInputError, ShapeError
 from aecomm.model import build_model
 from aecomm.nn import (
+    DEGENERATE_NORM_FLOOR,
     AdamState,
+    Workspace,
     adam_step,
     backward_pass,
     dense,
     glorot_uniform,
+    param_count,
     power_normalize,
     relu,
     softmax,
@@ -17,10 +20,10 @@ from aecomm.nn import (
 )
 
 
-def _model(M, n, seed, bias_scale=0.1):
+def _model(M, n, seed, bias_scale=0.1, codebook=None):
     """A fresh autoencoder whose biases are nonzero, so every bias gradient
     is exercised."""
-    model = build_model(build_onehot(M), n, seed=seed)
+    model = build_model(codebook or build_onehot(M), n, seed=seed)
     rng = np.random.default_rng(seed + 1000)
     for b in (model.b1, model.b2, model.b3, model.b4):
         b[:] = bias_scale * rng.standard_normal(b.shape)
@@ -189,6 +192,99 @@ def test_backward_pass_loss_is_batch_mean():
     s = model.codebook.entries[rng.integers(4, size=8)]
     loss, _, p = backward_pass(model.params(), s, 0.1 * rng.standard_normal((8, 7)))
     assert loss == pytest.approx(float(np.mean(np.sum((s - p) ** 2, axis=1))))
+
+
+def reference_backward_pass(params, s, noise):
+    """backward_pass as it was written before the workspace: every
+    intermediate a fresh array, dense, the l2 norm and the softmax spelled
+    out. The workspace version must give its bits."""
+    W1, b1, W2, b2, W3, b3, W4, b4 = params
+    n, M = W2.shape
+    grad = np.empty(param_count(M, n))
+    gW1, gb1, gW2, gb2, gW3, gb3, gW4, gb4 = split(grad, M, n)
+
+    h1 = np.maximum(s @ W1.T + b1, 0.0)
+    z2 = h1 @ W2.T + b2
+    norms = np.linalg.norm(z2, axis=1, keepdims=True)
+    if np.any(norms < DEGENERATE_NORM_FLOOR):
+        raise DegenerateInputError("transmitter output is dead")
+    scale = np.sqrt(n) / norms
+    y = scale * z2
+    y += noise
+    h3 = np.maximum(y @ W3.T + b3, 0.0)
+    z4 = h3 @ W4.T + b4
+    e = np.exp(z4 - z4.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    d = s - p
+    loss = float(np.mean(np.sum(d * d, axis=1)))
+    g = 2.0 * (p - s) / s.shape[0]
+    g = p * (g - np.sum(g * p, axis=1, keepdims=True))
+    np.matmul(g.T, h3, out=gW4)
+    np.sum(g, axis=0, out=gb4)
+    g = g @ W4
+    g *= h3 > 0.0
+    np.matmul(g.T, y, out=gW3)
+    np.sum(g, axis=0, out=gb3)
+    g = g @ W3
+    proj = np.sum(z2 * g, axis=1, keepdims=True) / (norms * norms)
+    g = scale * (g - z2 * proj)
+    np.matmul(g.T, h1, out=gW2)
+    np.sum(g, axis=0, out=gb2)
+    g = g @ W2
+    g *= h1 > 0.0
+    np.matmul(g.T, s, out=gW1)
+    np.sum(g, axis=0, out=gb1)
+    return loss, grad, p
+
+
+def _bits(result):
+    loss, grad, p = result
+    return loss.hex(), grad.tobytes(), p.tobytes()
+
+
+def _noises(B, n, rng):
+    """No noise, one sigma for the batch, and one sigma per row."""
+    return (0.0,
+            np.sqrt(0.1) * rng.standard_normal((B, n)),
+            np.sqrt(rng.uniform(0.01, 1.0, size=(B, 1))) * rng.standard_normal((B, n)))
+
+
+@pytest.mark.parametrize("codebook", [build_onehot(4), build_onehot(8), build_onehot(64),
+                                      build_gdr(8, 4)],
+                         ids=["onehot4", "onehot8", "onehot64", "gdr8x4"])
+@pytest.mark.parametrize("B", [1, 20, 45])
+def test_workspace_backward_pass_equals_reference_bit_for_bit(codebook, B):
+    model = _model(codebook.M, 7, seed=B, codebook=codebook)
+    rng = np.random.default_rng(B)
+    s = codebook.entries[rng.integers(0, len(codebook), size=B)]
+    work = Workspace(codebook.M, 7, B)
+    for noise in _noises(B, 7, rng):
+        expected = _bits(reference_backward_pass(model.params(), s, noise))
+        got = backward_pass(model.params(), s, noise, work)
+        assert _bits(got) == expected
+        assert got[1] is work.grad and got[2] is work.p
+        assert _bits(backward_pass(model.params(), s, noise)) == expected
+
+
+def test_reused_workspace_equals_fresh_workspace():
+    # a workspace carries nothing from one call into the next
+    model = _model(8, 7, seed=5)
+    rng = np.random.default_rng(5)
+    work = Workspace(8, 7, 45)
+    for _ in range(2):
+        s = model.codebook.entries[rng.integers(0, 8, size=45)]
+        noise = 0.3 * rng.standard_normal((45, 7))
+        fresh = _bits(backward_pass(model.params(), s, noise, Workspace(8, 7, 45)))
+        assert _bits(backward_pass(model.params(), s, noise, work)) == fresh
+
+
+def test_workspace_of_another_shape_is_refused():
+    model = _model(8, 7, seed=5)
+    s = model.codebook.entries[:4]
+    for work in (Workspace(8, 7, 5), Workspace(16, 7, 4), Workspace(8, 6, 4)):
+        with pytest.raises(ShapeError, match="workspace"):
+            backward_pass(model.params(), s, 0.0, work)
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():

@@ -12,9 +12,12 @@ holds every run, the pairs each side won (a tie counts for neither), numpy
 linear quartiles, the median change in percent and the parent's
 interquartile range. The record is written to the current directory.
 
---stages also times one 65,536-block chunk per perfbench fixture on each
-side: receive and estimate_bler, in a process pinned to one CPU with one
-BLAS thread.
+--stages also times, on each side, in processes pinned to one CPU with one
+BLAS thread: receive and estimate_bler on one 65,536-block chunk per
+perfbench fixture, and the training step split into the batch draw,
+backward_pass and adam_step at one-hot M=8 (10 dB) and M=64 (5 dB). Each
+timing is the median of STAGE_ROUNDS processes a side, the sides taking
+turns, so a slow spell on the host does not land on one side only.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +35,8 @@ import numpy as np
 GATED = ("pass_cost", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 CHUNK = 1 << 16
+# --stages runs each stage process this many times a side
+STAGE_ROUNDS = 5
 
 # run inside a checkout; prints per-fixture timings as one JSON object
 STAGE_SNIPPET = r"""
@@ -64,6 +70,48 @@ for name in ("onehot_m16", "onehot_m64", "gdr_m8x4"):
     bler = median_ms(lambda: estimate_bler(m, None, spec, CHUNK, spawn_rng(0)), 7)
     out[name] = {"receive": receive, "estimate_bler": bler,
                  "mblocks_per_s": round(CHUNK / bler / 1e3, 2)}
+print(json.dumps(out))
+"""
+
+
+# run inside a checkout; prints microseconds per training step as one JSON
+# object. backward_pass and adam_step are timed through wrappers that train
+# calls as module attributes; the batch draw is the rest of the step.
+TRAIN_STAGE_SNIPPET = r"""
+import json, os, statistics, sys, time
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, "src")
+from aecomm import model, nn
+from aecomm.codebooks import build_onehot
+
+spent = {}
+
+def timed(name, fn):
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[name] += time.perf_counter() - start
+    return wrapper
+
+nn.backward_pass = timed("backward_pass", nn.backward_pass)
+nn.adam_step = timed("adam_step", nn.adam_step)
+out = {}
+for M, snr in ((8, 10.0), (64, 5.0)):
+    config = model.TrainingConfig(epochs=2, seed=1, training_snr_db=snr)
+    steps = config.epochs * -(-config.train_samples // config.batch_size)
+    rounds = []
+    for _ in range(8):
+        spent.update(backward_pass=0.0, adam_step=0.0)
+        trace = model.train(model.build_model(build_onehot(M), 7, seed=1), config)
+        rest = trace.wall_time_s - spent["backward_pass"] - spent["adam_step"]
+        rounds.append((trace.wall_time_s, rest, spent["backward_pass"], spent["adam_step"]))
+    # the first round warms caches and is dropped
+    medians = [statistics.median(column) for column in zip(*rounds[1:])]
+    out[f"onehot_m{M}"] = {name: round(1e6 * t / steps, 1) for name, t in
+                           zip(("step", "batch_draw", "backward_pass", "adam_step"), medians)}
 print(json.dumps(out))
 """
 
@@ -126,12 +174,25 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
     return summary
 
 
-def stages(checkout: Path) -> dict:
+def stages(checkout: Path, snippet: str) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", STAGE_SNIPPET], cwd=checkout, env=env,
+    done = subprocess.run([sys.executable, "-c", snippet], cwd=checkout, env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
+
+
+def stage_medians(checkouts: dict, snippet: str) -> dict:
+    """snippet run STAGE_ROUNDS times on each side, alternating which side
+    runs first; per side, each timing's median over the rounds."""
+    rounds = {side: [] for side in SIDES}
+    for r in range(STAGE_ROUNDS):
+        for side in SIDES if r % 2 else SIDES[::-1]:
+            rounds[side].append(stages(checkouts[side], snippet))
+    return {side: {name: {key: round(statistics.median(run[name][key] for run in runs), 2)
+                          for key in runs[0][name]}
+                   for name in runs[0]}
+            for side, runs in rounds.items()}
 
 
 def main(argv=None) -> int:
@@ -142,7 +203,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", default="train,sweep_onehot,sweep_gdr,baseline,adaptive")
     parser.add_argument("--seeds", default="11-15", help="e.g. 11-15 or 11,13")
     parser.add_argument("--stages", action="store_true",
-                        help="also time receive and estimate_bler on one chunk per fixture")
+                        help="also time receive and estimate_bler on one chunk per "
+                             "fixture, and the stages of a training step")
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -187,8 +249,19 @@ def main(argv=None) -> int:
         record["chunk_stages_ms"] = {
             "how": f"median of 15 receive calls and 7 estimate_bler calls on one "
                    f"{CHUNK:,}-block chunk at Eb/N0 4 dB, one BLAS thread, pinned to "
-                   "one CPU",
-            **{side: stages(checkouts[side]) for side in SIDES},
+                   f"one CPU; median of {STAGE_ROUNDS} such processes a side, "
+                   "alternating which side runs first",
+            **stage_medians(checkouts, STAGE_SNIPPET),
+        }
+        record["train_step_us"] = {
+            "how": "microseconds per step of a 2-epoch train (20,000 samples, batch 45, "
+                   "445 steps an epoch) at one-hot M=8, 10 dB and M=64, 5 dB; median of "
+                   "7 trainings after one warm-up; backward_pass and adam_step timed "
+                   "through wrappers, batch_draw the rest of the step (message and "
+                   "noise draw, loop); one BLAS thread, pinned to one CPU; median of "
+                   f"{STAGE_ROUNDS} such processes a side, alternating which side runs "
+                   "first",
+            **stage_medians(checkouts, TRAIN_STAGE_SNIPPET),
         }
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(record, indent=1) + "\n")
