@@ -151,12 +151,16 @@ def decode_batch(p, codebook: Codebook) -> np.ndarray:
     """Decode received probability vectors to message ids.
 
     Takes the m highest-probability indices of each row (ties toward the
-    lower index). If that support set is a codebook entry, returns its id;
-    otherwise falls back to the entry whose support carries the largest
-    probability mass (ties toward the lower message id).
+    lower index, NaN below every number). If that support set is a codebook
+    entry, returns its id; otherwise falls back to the entry whose support
+    carries the largest probability mass (ties toward the lower message id).
 
     For m=1 with ids in ascending support order (every codebook the
-    package builds) this is the first maximum over the kept columns.
+    package builds) this is the first maximum over the kept columns, where
+    np.argmax takes a NaN for the maximum. Otherwise a row's m largest
+    values are those at or above its m-th largest; only rows with a tie at
+    that cut, or a NaN, take the stable sort that orders equal values by
+    index.
     """
     pb = np.atleast_2d(np.asarray(p, dtype=np.float64))
     if pb.ndim != 2 or pb.shape[1] != codebook.M:
@@ -165,9 +169,23 @@ def decode_batch(p, codebook: Codebook) -> np.ndarray:
     cols = codebook.supports[:, 0]
     if m == 1 and np.all(np.diff(cols) > 0):
         return np.argmax(pb if len(cols) == codebook.M else pb[:, cols], axis=1)
-    # stable sort on -p keeps the lower index first among ties
-    top = np.argsort(-pb, axis=1, kind="stable")[:, :m]
-    masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), top.astype(np.uint64)), axis=1)
+    # a tie across the cut (+-0 included) needs the index order; np.sort
+    # puts NaN last, where argsort(-p) ranks it lowest
+    srt = np.sort(pb, axis=1)
+    cut = srt[:, -m]
+    slow = np.isnan(srt[:, -1])
+    if m < codebook.M:
+        slow |= srt[:, -m - 1] == cut
+    # bit j of the support mask is column j: little-endian bits and bytes
+    bits = np.packbits(pb >= cut[:, None], axis=1, bitorder="little")
+    packed = np.zeros((pb.shape[0], 8), dtype=np.uint8)
+    packed[:, :bits.shape[1]] = bits
+    masks = packed.view("<u8")[:, 0]
+    if slow.any():
+        # stable sort on -p keeps the lower index first among ties
+        top = np.argsort(-pb[slow], axis=1, kind="stable")[:, :m]
+        masks[slow] = np.bitwise_or.reduce(
+            np.left_shift(np.uint64(1), top.astype(np.uint64)), axis=1)
     pos = np.searchsorted(codebook._masks_sorted, masks)
     pos = np.minimum(pos, len(codebook) - 1)
     hit = codebook._masks_sorted[pos] == masks

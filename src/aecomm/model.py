@@ -33,8 +33,8 @@ from .metrics import CHUNK_BLOCKS, atomic_write
 CHECKPOINT_MAGIC = "aecomm checkpoint"
 CHECKPOINT_VERSION = 1
 # receive fills its (B, M) output in row tiles of at most this many
-# elements (512 KB), so each tile's temporaries stay in cache
-RECEIVE_TILE_ELEMENTS = 1 << 16
+# elements, so each tile's temporaries stay in cache
+RECEIVE_TILE_ELEMENTS = nn.TILE_ELEMENTS
 # build_model redraws dead transmitter columns at most this many times
 MAX_INIT_REDRAWS = 100
 
@@ -229,9 +229,12 @@ def train(model: Autoencoder, config: TrainingConfig) -> TrainingTrace:
     # one workspace per batch size: the batch size and an epoch's short last batch
     workspaces = {}
     if config.training_snr_set_db is not None:
-        snr_choices = np.array(config.training_snr_set_db, dtype=np.float64)
+        # noise scale per choice; rng.integers draws the indices that
+        # rng.choice over the choices would
+        set_sigmas = np.sqrt(snr_db_to_sigma2(
+            np.array(config.training_snr_set_db, dtype=np.float64)))
     else:
-        fixed_sigma = snr_db_to_sigma2(config.training_snr_db)
+        fixed_sigma = np.sqrt(snr_db_to_sigma2(config.training_snr_db))
 
     trace = TrainingTrace()
     for epoch in range(config.epochs):
@@ -243,11 +246,10 @@ def train(model: Autoencoder, config: TrainingConfig) -> TrainingTrace:
             ids = rng.integers(0, count, size=b)
             s = model.codebook.entries[ids]
             if config.training_snr_set_db is not None:
-                snrs = rng.choice(snr_choices, size=b)
-                sigma2 = snr_db_to_sigma2(snrs)[:, None]
+                sigma = set_sigmas[rng.integers(0, len(set_sigmas), size=b)][:, None]
             else:
-                sigma2 = fixed_sigma
-            noise = np.sqrt(sigma2) * rng.standard_normal((b, n))
+                sigma = fixed_sigma
+            noise = sigma * rng.standard_normal((b, n))
             work = workspaces.get(b)
             if work is None:
                 work = workspaces[b] = nn.Workspace(model.M, n, b)

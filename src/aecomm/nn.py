@@ -21,6 +21,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 DEGENERATE_NORM_FLOOR = 1e-12
+# row tiles of at most this many float64 elements (512 KB) stay in cache
+TILE_ELEMENTS = 1 << 16
 
 
 def param_shapes(M: int, n: int) -> tuple:
@@ -67,10 +69,22 @@ def softmax(z: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Row-wise softmax with max subtraction for overflow safety.
 
     overwrite=True lets the result replace z, saving a temporary.
+
+    The row max is taken down the columns of a transposed copy, which numpy
+    vectorizes across rows; a short row reduced on its own is not. The copy
+    is made TILE_ELEMENTS at a time, since transposing a large array at once
+    strides through memory. A max is exact in any order; where +0 and -0 tie
+    for it, z - max differs at most in the sign of a zero, which exp maps
+    to 1 either way.
     """
     z = np.asarray(z, dtype=np.float64)
-    e = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True),
-                    out=z if overwrite else None)
+    rows = z.reshape(-1, z.shape[-1])
+    zmax = np.empty((rows.shape[0], 1))
+    step = max(1, TILE_ELEMENTS // rows.shape[1])
+    for i in range(0, rows.shape[0], step):
+        np.maximum.reduce(np.ascontiguousarray(rows[i:i + step].T), axis=0,
+                          out=zmax[i:i + step, 0])
+    e = np.subtract(z, zmax.reshape(z.shape[:-1] + (1,)), out=z if overwrite else None)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e

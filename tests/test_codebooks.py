@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,17 +126,23 @@ def test_decode_rejects_wrong_length():
 
 
 def _reference_decode(p, cb):
-    """Row by row: the m largest indices by a stable sort, the entry with
-    that support, else the entry of largest support mass (lowest id)."""
+    """Row by row: the m largest indices by a stable sort that ranks NaN
+    below every number, as argsort(-p) does; the entry with that support;
+    else the entry of largest support mass. A mass is p times the support's
+    0/1 indicator, summed over all M columns, so a NaN anywhere in the row
+    makes every mass NaN; the first NaN mass wins, else the first maximum,
+    as np.argmax picks."""
     by_support = {tuple(s): i for i, s in enumerate(cb.supports.tolist())}
     out = []
     for row in p.tolist():
-        top = tuple(sorted(sorted(range(cb.M), key=lambda j: -row[j])[:cb.m]))
+        ranked = sorted(range(cb.M), key=lambda j: (math.isnan(row[j]), -row[j]))
+        top = tuple(sorted(ranked[:cb.m]))
         if top in by_support:
             out.append(by_support[top])
-        else:
-            mass = [sum(row[j] for j in s) for s in cb.supports.tolist()]
-            out.append(mass.index(max(mass)))
+            continue
+        mass = [sum(row[j] * (j in s) for j in range(cb.M)) for s in cb.supports.tolist()]
+        nan_ids = [i for i, v in enumerate(mass) if math.isnan(v)]
+        out.append(nan_ids[0] if nan_ids else mass.index(max(mass)))
     return np.array(out, dtype=np.int64)
 
 
@@ -142,6 +150,12 @@ _DECODE_PARENTS = (
     build_onehot(4), build_onehot(16), build_onehot(64),
     build_gdr(8, 2), build_gdr(8, 3), build_gdr(8, 4),
     build_gdr(16, 2, selection="random", selection_seed=5),
+    # masks spanning several bytes, and an M that is not a multiple of 8
+    build_gdr(64, 2), build_gdr(12, 3),
+    # ids in descending support order: on a tie the support-mass fallback
+    # picks another entry than the stable sort does
+    Codebook(8, 1, build_onehot(8).supports[::-1]),
+    Codebook(8, 2, build_gdr(8, 2).supports[::-1]),
 )
 
 
@@ -149,7 +163,9 @@ _DECODE_PARENTS = (
 def _decode_cases(draw):
     """A codebook (full, or a subset as adaptive selection builds them) and
     probabilities on a dyadic grid: coarse grids force exact ties, and
-    every support mass is an exact sum."""
+    every support mass is an exact sum. Some cases also hold -0.0 entries,
+    which tie with 0.0, and, for m > 1, NaN entries (the m=1 argmax takes
+    a NaN for the maximum, where the sort rule ranks it lowest)."""
     cb = draw(st.sampled_from(_DECODE_PARENTS))
     if draw(st.booleans()):
         k = draw(st.sampled_from([t for t in (2, 4, 8, 16) if t < len(cb)]))
@@ -159,7 +175,13 @@ def _decode_cases(draw):
     levels = draw(st.sampled_from((1, 2, 4, 1024)))
     rows = draw(st.integers(1, 16))
     grid = draw(arrays(np.int64, (rows, cb.M), elements=st.integers(0, levels)))
-    return cb, grid / levels
+    p = grid / levels
+    if draw(st.booleans()):
+        special = draw(arrays(np.int64, p.shape, elements=st.integers(0, 7)))
+        p[special == 1] = -0.0
+        if cb.m > 1:
+            p[special == 2] = np.nan
+    return cb, p
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,8 +1,12 @@
+import functools
 import hashlib
 import json
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aecomm import model as model_module
 from aecomm import nn
@@ -78,6 +82,26 @@ def test_transmit_obeys_power_constraint():
     model = build_model(build_onehot(16), 7, seed=3)
     x = model.transmit(model.codebook.entries)
     np.testing.assert_allclose(np.sum(x * x, axis=1), 7.0, atol=1e-12)
+
+
+# (M, m) of every codebook below 8,192 candidate supports
+_POWER_CODEBOOKS = [(M, m) for M in (4, 8, 16, 64) for m in range(1, M // 2 + 1)
+                    if comb(M, m) < 8192]
+_gdr = functools.cache(build_gdr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_POWER_CODEBOOKS), st.integers(1, 16), st.integers(0, 2**32 - 1),
+       st.floats(-3.0, 3.0))
+def test_power_constraint_holds_under_random_weights(codebook, n, seed, log_scale):
+    # every row of transmit(entries) carries energy n, whatever finite
+    # weights and biases the transmitter has, as long as no entry is dead
+    model = Autoencoder(_gdr(*codebook), n)
+    rng = np.random.default_rng(seed)
+    model.theta[:] = rng.normal(scale=10.0 ** log_scale, size=model.theta.size)
+    assume(model_module._dead_entries(model).size == 0)
+    x = model.transmit(model.codebook.entries)
+    np.testing.assert_allclose(np.sum(x * x, axis=1), n, rtol=1e-12, atol=0)
 
 
 def test_receiver_preactivation_is_affine_part():
@@ -235,8 +259,9 @@ def _reference_train(model, config):
 
 
 @pytest.mark.parametrize("snr", [dict(training_snr_db=10.0),
-                                 dict(training_snr_set_db=(0.0, 5.0, 10.0, 15.0))],
-                         ids=["10dB", "snr_set"])
+                                 dict(training_snr_set_db=(0.0, 5.0, 10.0, 15.0)),
+                                 dict(training_snr_set_db=(-3.7, 1.3, 6.15))],
+                         ids=["10dB", "snr_set", "snr_set_non_integer"])
 def test_train_equals_reference_loop_bit_for_bit(snr):
     # 20,000 samples in batches of 45 end each epoch on a batch of 20, so
     # train uses two workspaces

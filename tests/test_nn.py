@@ -97,6 +97,39 @@ def test_softmax_rows_sum_to_one_and_stay_finite():
     np.testing.assert_allclose(p[0], [1 / 3, 1 / 3, 1 / 3])
 
 
+def _softmax_row_by_row_max(z, overwrite=False):
+    """softmax with the max reduced along each row, as numpy does by default."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True),
+                    out=z if overwrite else None)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
+
+
+@pytest.mark.parametrize("overwrite", [False, True])
+@pytest.mark.parametrize("shape", [(9,), (1,), (5, 1), (7, 8), (3000, 64), (20000, 16)])
+def test_softmax_column_wise_max_equals_row_by_row_max_bit_for_bit(shape, overwrite):
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    z = rng.normal(scale=5.0, size=shape)
+    if z.ndim == 2 and z.shape[1] > 1:
+        z[::3, 1] = z[::3, 0] = z[::3].max(axis=1)  # tied maxima
+        z[1::5] = 0.0
+        z[1::5, ::2] = -0.0  # +0 and -0 tie for the max
+        z[2::7, 0] = -np.inf
+        z[4::11] = -np.inf  # every entry -inf: NaN on both sides
+    else:
+        z[::2] = -0.0
+    a, b = z.copy(), z.copy()
+    with np.errstate(invalid="ignore"):
+        got = softmax(a, overwrite=overwrite)
+        expected = _softmax_row_by_row_max(b, overwrite=overwrite)
+    assert got.shape == z.shape
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+    np.testing.assert_array_equal(a.view(np.uint64),
+                                  (got if overwrite else z).view(np.uint64))
+
+
 def test_power_normalize_hand_values():
     np.testing.assert_allclose(power_normalize(np.ones(7)), np.ones(7))
     out = power_normalize([2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])

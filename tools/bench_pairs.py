@@ -13,11 +13,12 @@ linear quartiles, the median change in percent and the parent's
 interquartile range. The record is written to the current directory.
 
 --stages also times, on each side, in processes pinned to one CPU with one
-BLAS thread: receive and estimate_bler on one 65,536-block chunk per
-perfbench fixture, and the training step split into the batch draw,
-backward_pass and adam_step at one-hot M=8 (10 dB) and M=64 (5 dB). Each
-timing is the median of STAGE_ROUNDS processes a side, the sides taking
-turns, so a slow spell on the host does not land on one side only.
+BLAS thread: receive, decode_batch and estimate_bler on one 65,536-block
+chunk per perfbench fixture, and the training step split into the batch
+draw, backward_pass and adam_step at one-hot M=8 (10 dB and fig10's SNR
+set) and M=64 (5 dB). Each timing is the median of STAGE_ROUNDS processes
+a side, the sides taking turns, so a slow spell on the host does not land
+on one side only.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ if hasattr(os, "sched_setaffinity"):
 sys.path.insert(0, "src")
 import numpy as np
 from aecomm.channel import ChannelSpec, awgn, spawn_rng
-from aecomm.codebooks import data_rate
+from aecomm.codebooks import data_rate, decode_batch
 from aecomm.metrics import estimate_bler
 from aecomm.model import load_checkpoint
 
@@ -67,8 +68,10 @@ for name in ("onehot_m16", "onehot_m64", "gdr_m8x4"):
     ids = np.random.default_rng(0).integers(0, len(m.codebook), size=CHUNK)
     y = awgn(m.transmit(m.codebook.entries)[ids], spec.sigma2, np.random.default_rng(1))
     receive = median_ms(lambda: m.receive(y), 15)
+    p = m.receive(y)
+    decode = median_ms(lambda: decode_batch(p, m.codebook), 15)
     bler = median_ms(lambda: estimate_bler(m, None, spec, CHUNK, spawn_rng(0)), 7)
-    out[name] = {"receive": receive, "estimate_bler": bler,
+    out[name] = {"receive": receive, "decode_batch": decode, "estimate_bler": bler,
                  "mblocks_per_s": round(CHUNK / bler / 1e3, 2)}
 print(json.dumps(out))
 """
@@ -99,8 +102,12 @@ def timed(name, fn):
 nn.backward_pass = timed("backward_pass", nn.backward_pass)
 nn.adam_step = timed("adam_step", nn.adam_step)
 out = {}
-for M, snr in ((8, 10.0), (64, 5.0)):
-    config = model.TrainingConfig(epochs=2, seed=1, training_snr_db=snr)
+# fig10's training SNR set
+SNR_SET = dict(training_snr_set_db=(-20.0, -10.0, 0.0, 10.0, 20.0))
+for label, M, snr in (("onehot_m8", 8, dict(training_snr_db=10.0)),
+                      ("onehot_m8_snr_set", 8, SNR_SET),
+                      ("onehot_m64", 64, dict(training_snr_db=5.0))):
+    config = model.TrainingConfig(epochs=2, seed=1, **snr)
     steps = config.epochs * -(-config.train_samples // config.batch_size)
     rounds = []
     for _ in range(8):
@@ -110,8 +117,8 @@ for M, snr in ((8, 10.0), (64, 5.0)):
         rounds.append((trace.wall_time_s, rest, spent["backward_pass"], spent["adam_step"]))
     # the first round warms caches and is dropped
     medians = [statistics.median(column) for column in zip(*rounds[1:])]
-    out[f"onehot_m{M}"] = {name: round(1e6 * t / steps, 1) for name, t in
-                           zip(("step", "batch_draw", "backward_pass", "adam_step"), medians)}
+    out[label] = {name: round(1e6 * t / steps, 1) for name, t in
+                  zip(("step", "batch_draw", "backward_pass", "adam_step"), medians)}
 print(json.dumps(out))
 """
 
@@ -247,7 +254,8 @@ def main(argv=None) -> int:
     }
     if args.stages:
         record["chunk_stages_ms"] = {
-            "how": f"median of 15 receive calls and 7 estimate_bler calls on one "
+            "how": f"median of 15 receive calls, 15 decode_batch calls on the "
+                   "received probabilities and 7 estimate_bler calls on one "
                    f"{CHUNK:,}-block chunk at Eb/N0 4 dB, one BLAS thread, pinned to "
                    f"one CPU; median of {STAGE_ROUNDS} such processes a side, "
                    "alternating which side runs first",
@@ -255,7 +263,8 @@ def main(argv=None) -> int:
         }
         record["train_step_us"] = {
             "how": "microseconds per step of a 2-epoch train (20,000 samples, batch 45, "
-                   "445 steps an epoch) at one-hot M=8, 10 dB and M=64, 5 dB; median of "
+                   "445 steps an epoch) at one-hot M=8, 10 dB, M=8 on fig10's SNR set "
+                   "(-20, -10, 0, 10, 20 dB) and M=64, 5 dB; median of "
                    "7 trainings after one warm-up; backward_pass and adam_step timed "
                    "through wrappers, batch_draw the rest of the step (message and "
                    "noise draw, loop); one BLAS thread, pinned to one CPU; median of "
