@@ -16,7 +16,7 @@ import numpy as np
 from .codebooks import Codebook
 from .errors import DomainError, SingularityError
 from .metrics import CHUNK_BLOCKS
-from .nn import softmax
+from .nn import row_reduce, softmax
 
 DEFAULT_TAYLOR_ORDER = 20
 DEFAULT_U_MIN = 1e-3
@@ -142,6 +142,10 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
     signal_term = float(np.mean(signal_terms))
     noise_term = float(np.mean(noise_terms))
 
+    # the chunk works in place with the bits of x[ids] + sigma n, W_r y + b_r
+    # and sum((p - s) ** 2): the sums commute, and the squares are summed
+    # in the same shape and order
+    noise_scale = np.sqrt(sigma2)
     sim_sum = 0.0
     sim_blocks = 0
     done = 0
@@ -149,13 +153,20 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
         b = min(samples - done, CHUNK_BLOCKS)
         done += b
         ids = included[rng.integers(0, included.size, size=b)]
-        y = x[ids] + np.sqrt(sigma2) * rng.standard_normal((b, x.shape[1]))
-        u = y @ W_r.T + b_r
-        active = np.all(u > 0, axis=1)
-        if np.any(active):
-            p = softmax(u[active])
-            sim_sum += float(np.sum((p - codebook.entries[ids[active]]) ** 2))
-            sim_blocks += int(active.sum())
+        y = rng.standard_normal((b, x.shape[1]))
+        y *= noise_scale
+        y += np.take(x, ids, axis=0)
+        u = y @ W_r.T
+        u += b_r
+        # every unit active <=> the row minimum is positive (NaN is not)
+        active = row_reduce(np.minimum, u) > 0
+        n_active = int(np.count_nonzero(active))
+        if n_active:
+            p = softmax(u[active], overwrite=True)
+            p -= np.take(codebook.entries, ids[active], axis=0)
+            p *= p
+            sim_sum += float(np.sum(p))
+            sim_blocks += n_active
     return {
         "sigma2": float(sigma2),
         "signal_term": signal_term,

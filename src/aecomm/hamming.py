@@ -3,6 +3,10 @@
 Classical benchmark at the autoencoder's information rate: four message
 bits per seven channel uses. Provides syndrome (hard-decision) decoding
 and exhaustive soft maximum-likelihood decoding over the 16 codewords.
+
+The Monte Carlo driver works on message values 0..15 instead of bit rows:
+it modulates and decodes through small tables built once from the public
+encoder, modulator and decoders, which stay the one definition of the code.
 """
 
 from __future__ import annotations
@@ -29,12 +33,20 @@ _P = np.array([
 GENERATOR = np.hstack([np.eye(K_BITS, dtype=np.int64), _P])
 PARITY_CHECK = np.hstack([_P.T, np.eye(N_BITS - K_BITS, dtype=np.int64)])
 
+
+def _bits(values, width: int) -> np.ndarray:
+    """Rows of the MSB-first bits of each value."""
+    return (np.asarray(values)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+
+
 # all 16 codewords, indexed by the integer value of their message bits
-_MESSAGES = ((np.arange(16)[:, None] >> np.arange(K_BITS - 1, -1, -1)) & 1).astype(np.int64)
+_MESSAGES = _bits(np.arange(16, dtype=np.int64), K_BITS)
 CODEWORDS = (_MESSAGES @ GENERATOR) % 2
+# MSB-first place values: rows of bits @ _PLACES[-width:] packs them to a value
+_PLACES = (1 << np.arange(N_BITS - 1, -1, -1)).astype(np.uint8)
 
 # syndrome integer (MSB-first) -> flipped bit position, -1 for no error
-_SYNDROME_WEIGHTS = 1 << np.arange(N_BITS - K_BITS - 1, -1, -1)
+_SYNDROME_WEIGHTS = _PLACES[-(N_BITS - K_BITS):]
 SYNDROME_TABLE = np.full(8, -1, dtype=np.int64)
 for _pos in range(N_BITS):
     SYNDROME_TABLE[int(PARITY_CHECK[:, _pos] @ _SYNDROME_WEIGHTS)] = _pos
@@ -96,11 +108,27 @@ def hamming_decode_ml(y):
         yb = yb[None, :]
     if yb.shape[1] != N_BITS:
         raise ShapeError(f"expected rows of {N_BITS} soft values, got shape {np.asarray(y).shape}")
-    images = bpsk_modulate(CODEWORDS)
     # argmin ||y - c||^2 = argmax y.c since all images have equal norm
-    best = np.argmax(yb @ images.T, axis=1)
+    best = np.argmax(yb @ _IMAGES.T, axis=1)
     msg = _MESSAGES[best]
     return msg[0] if was_1d else msg
+
+
+# the driver's tables, indexed by message value (the BPSK images) or by the
+# value of a hard-decided 7-bit word (the syndrome decoder's message value)
+_IMAGES = bpsk_modulate(CODEWORDS)
+_UNCODED = bpsk_modulate(_MESSAGES)
+_HD_TABLE = hamming_decode_hd(_bits(np.arange(1 << N_BITS), N_BITS)) @ _PLACES[-K_BITS:]
+
+
+def _decoded_values(scheme: str, y: np.ndarray) -> np.ndarray:
+    """The message value each received row decodes to: hamming_decode_ml's
+    product and tie rule, or the sign slicer packed, then looked up in the
+    syndrome decoder's table for hamming_hd."""
+    if scheme == "hamming_ml":
+        return np.argmax(y @ _IMAGES.T, axis=1)
+    hard = (y < 0).view(np.uint8) @ _PLACES[-y.shape[1]:]
+    return np.take(_HD_TABLE, hard) if scheme == "hamming_hd" else hard
 
 
 def baseline_block_errors(scheme: str, ebn0_db: float, blocks: int, rng) -> dict:
@@ -117,6 +145,7 @@ def baseline_block_errors(scheme: str, ebn0_db: float, blocks: int, rng) -> dict
         raise DomainError(f"unknown baseline scheme {scheme!r}")
     sigma2 = sigma2_from_ebn0(rate, ebn0_db)
     sigma = np.sqrt(sigma2)
+    images = _UNCODED if scheme == "uncoded_bpsk" else _IMAGES
 
     bit_errors = 0
     block_errors = 0
@@ -124,19 +153,15 @@ def baseline_block_errors(scheme: str, ebn0_db: float, blocks: int, rng) -> dict
     while done < blocks:
         b = min(blocks - done, CHUNK_BLOCKS)
         done += b
-        msg = rng.integers(0, 2, size=(b, K_BITS))
-        if scheme == "uncoded_bpsk":
-            y = bpsk_modulate(msg) + sigma * rng.standard_normal((b, K_BITS))
-            decoded = bpsk_demod_hard(y)
-        else:
-            y = bpsk_modulate(hamming_encode(msg)) + sigma * rng.standard_normal((b, N_BITS))
-            if scheme == "hamming_hd":
-                decoded = hamming_decode_hd(bpsk_demod_hard(y))
-            else:
-                decoded = hamming_decode_ml(y)
-        wrong = decoded != msg
-        bit_errors += int(wrong.sum())
-        block_errors += int(wrong.any(axis=1).sum())
+        sent = rng.integers(0, 2, size=(b, K_BITS)) @ _PLACES[-K_BITS:]
+        # sigma * noise + image: the sum commutes, so the bits are those of
+        # image + sigma * noise
+        y = rng.standard_normal((b, images.shape[1]))
+        y *= sigma
+        y += np.take(images, sent, axis=0)
+        wrong = _decoded_values(scheme, y) ^ sent
+        bit_errors += int(np.bitwise_count(wrong).sum())
+        block_errors += int(np.count_nonzero(wrong))
     return {
         "scheme": scheme,
         "ebn0_db": float(ebn0_db),

@@ -65,25 +65,32 @@ def as_batch(x, width: int | None = None) -> tuple[np.ndarray, bool]:
     return xb, x.ndim == 1
 
 
+def row_reduce(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
+    """ufunc.reduce over each row of a 2-D array, for a short-row min or max.
+
+    Each row is reduced down the columns of a transposed copy, which numpy
+    vectorizes across rows; a short row reduced on its own is not. The copy
+    is made TILE_ELEMENTS at a time, since transposing a large array at once
+    strides through memory. A min or max is exact in any order, NaN
+    included; where +0 and -0 tie, the sign of the zero may differ.
+    """
+    out = np.empty(rows.shape[0])
+    step = max(1, TILE_ELEMENTS // rows.shape[1])
+    for i in range(0, rows.shape[0], step):
+        ufunc.reduce(np.ascontiguousarray(rows[i:i + step].T), axis=0, out=out[i:i + step])
+    return out
+
+
 def softmax(z: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Row-wise softmax with max subtraction for overflow safety.
 
     overwrite=True lets the result replace z, saving a temporary.
 
-    The row max is taken down the columns of a transposed copy, which numpy
-    vectorizes across rows; a short row reduced on its own is not. The copy
-    is made TILE_ELEMENTS at a time, since transposing a large array at once
-    strides through memory. A max is exact in any order; where +0 and -0 tie
-    for it, z - max differs at most in the sign of a zero, which exp maps
-    to 1 either way.
+    The row max comes from row_reduce; where +0 and -0 tie for it, z - max
+    differs at most in the sign of a zero, which exp maps to 1 either way.
     """
     z = np.asarray(z, dtype=np.float64)
-    rows = z.reshape(-1, z.shape[-1])
-    zmax = np.empty((rows.shape[0], 1))
-    step = max(1, TILE_ELEMENTS // rows.shape[1])
-    for i in range(0, rows.shape[0], step):
-        np.maximum.reduce(np.ascontiguousarray(rows[i:i + step].T), axis=0,
-                          out=zmax[i:i + step, 0])
+    zmax = row_reduce(np.maximum, z.reshape(-1, z.shape[-1]))
     e = np.subtract(z, zmax.reshape(z.shape[:-1] + (1,)), out=z if overwrite else None)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)

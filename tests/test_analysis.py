@@ -9,6 +9,7 @@ from aecomm.analysis import (
 )
 from aecomm.channel import spawn_rng
 from aecomm.errors import DomainError, SingularityError
+from aecomm.metrics import CHUNK_BLOCKS
 from aecomm.nn import softmax
 
 
@@ -135,3 +136,35 @@ def test_decomposition_rejects_bad_noise_variance():
     for sigma2 in (-0.1, np.nan, np.inf):
         with pytest.raises(DomainError, match="noise variance"):
             mse_decomposition(model, None, sigma2, 100, spawn_rng(9, 0))
+
+
+def _reference_simulated_mse(model, sigma2, samples, rng):
+    """mse_decomposition's Monte Carlo loop, out of place: x[ids] + sigma n,
+    W_r y + b_r, np.all(u > 0, axis=1) and sum((p - s) ** 2); returns
+    (simulated_mse, active_fraction)."""
+    entries = model.codebook.entries
+    x = model.transmit(entries)
+    u0 = x @ model.W3.T + model.b3
+    included = np.nonzero(np.all(np.abs(u0) >= 1e-3, axis=1) & np.all(u0 > 0, axis=1))[0]
+    sim_sum, sim_blocks, done = 0.0, 0, 0
+    while done < samples:
+        b = min(samples - done, CHUNK_BLOCKS)
+        done += b
+        ids = included[rng.integers(0, included.size, size=b)]
+        y = x[ids] + np.sqrt(sigma2) * rng.standard_normal((b, x.shape[1]))
+        u = y @ model.W3.T + model.b3
+        active = np.all(u > 0, axis=1)
+        if np.any(active):
+            p = softmax(u[active])
+            sim_sum += float(np.sum((p - entries[ids[active]]) ** 2))
+            sim_blocks += int(active.sum())
+    return sim_sum / sim_blocks, sim_blocks / samples
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.01, 0.1])
+def test_decomposition_simulation_equals_out_of_place_reference_bit_for_bit(model_zoo, sigma2):
+    model, _ = model_zoo(4, 1, 10.0, seed=2)
+    samples = 2 * CHUNK_BLOCKS + 3
+    out = mse_decomposition(model, None, sigma2, samples, spawn_rng(10, 0))
+    mse, fraction = _reference_simulated_mse(model, sigma2, samples, spawn_rng(10, 0))
+    assert repr((out["simulated_mse"], out["active_fraction"])) == repr((mse, fraction))

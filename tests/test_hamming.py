@@ -2,8 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from aecomm.channel import spawn_rng
+from aecomm import hamming
+from aecomm.channel import sigma2_from_ebn0, spawn_rng
 from aecomm.errors import DomainError, ShapeError
 from aecomm.hamming import (
     CODEWORDS,
@@ -21,7 +25,7 @@ from aecomm.hamming import (
     hamming_encode,
     syndrome,
 )
-from aecomm.metrics import BASELINE_COLUMNS, wald_ci95
+from aecomm.metrics import BASELINE_COLUMNS, CHUNK_BLOCKS, wald_ci95
 
 ALL_MESSAGES = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.int64)
 
@@ -152,3 +156,75 @@ def test_baseline_sweep_point_i_is_the_direct_call_on_its_stream(scheme):
     # a point does not depend on the rest of the axis: alone, or among others
     assert baseline_sweep(scheme, points[:1], 900, key) == rows[:1]
     assert baseline_sweep(scheme, [9.0, 9.5, points[2]], 900, key)[2] == rows[2]
+
+
+def _reference_block_errors(scheme, ebn0_db, blocks, rng):
+    """The driver's chunk body on bit rows: the public encoder (GENERATOR
+    matmul), syndrome decoder and ML decoder (_MESSAGES[argmax]), and a
+    bit-array compare. The table-driven driver must match it bit for bit."""
+    rate = 1.0 if scheme == "uncoded_bpsk" else RATE
+    sigma = np.sqrt(sigma2_from_ebn0(rate, ebn0_db))
+    bit_errors = block_errors = done = 0
+    while done < blocks:
+        b = min(blocks - done, CHUNK_BLOCKS)
+        done += b
+        msg = rng.integers(0, 2, size=(b, K_BITS))
+        if scheme == "uncoded_bpsk":
+            y = bpsk_modulate(msg) + sigma * rng.standard_normal((b, K_BITS))
+            decoded = bpsk_demod_hard(y)
+        else:
+            y = bpsk_modulate(hamming_encode(msg)) + sigma * rng.standard_normal((b, N_BITS))
+            if scheme == "hamming_hd":
+                decoded = hamming_decode_hd(bpsk_demod_hard(y))
+            else:
+                decoded = hamming_decode_ml(y)
+        wrong = decoded != msg
+        bit_errors += int(wrong.sum())
+        block_errors += int(wrong.any(axis=1).sum())
+    return {"scheme": scheme, "ebn0_db": float(ebn0_db), "blocks": blocks,
+            "bits": blocks * K_BITS, "bit_errors": bit_errors,
+            "block_errors": block_errors, "ber": bit_errors / (blocks * K_BITS),
+            "bler": block_errors / blocks}
+
+
+@pytest.mark.parametrize("blocks", [1, 7, CHUNK_BLOCKS, CHUNK_BLOCKS + 1, 2 * CHUNK_BLOCKS + 3])
+@pytest.mark.parametrize("ebn0_db", [-10.0, 0.0, 8.0])
+@pytest.mark.parametrize("scheme", ["hamming_hd", "hamming_ml", "uncoded_bpsk"])
+def test_baseline_equals_bit_row_reference_bit_for_bit(scheme, ebn0_db, blocks):
+    got = baseline_block_errors(scheme, ebn0_db, blocks, np.random.default_rng(blocks))
+    expected = _reference_block_errors(scheme, ebn0_db, blocks, np.random.default_rng(blocks))
+    assert repr(got) == repr(expected)
+
+
+def _values(bits):
+    """Rows of MSB-first bits -> their integer values."""
+    return np.asarray(bits) @ (1 << np.arange(np.shape(bits)[-1] - 1, -1, -1))
+
+
+def test_hard_decision_table_is_the_syndrome_decoder():
+    words = np.array(list(itertools.product((0, 1), repeat=N_BITS)), dtype=np.int64)
+    np.testing.assert_array_equal(hamming._HD_TABLE, _values(hamming_decode_hd(words)))
+
+
+def test_image_tables_are_the_modulated_codewords_and_messages():
+    for v, msg in enumerate(ALL_MESSAGES):
+        np.testing.assert_array_equal(hamming._IMAGES[v], bpsk_modulate(hamming_encode(msg)))
+        np.testing.assert_array_equal(hamming._UNCODED[v], bpsk_modulate(msg))
+
+
+# soft rows on a coarse grid, so ties between codeword correlations and
+# exact zeros (+0 and -0) occur
+_SOFT_ROWS = arrays(np.float64, st.tuples(st.integers(1, 20), st.just(N_BITS)),
+                    elements=st.sampled_from([-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SOFT_ROWS)
+def test_table_decoders_equal_the_public_decoders(y):
+    np.testing.assert_array_equal(hamming._decoded_values("hamming_ml", y),
+                                  _values(hamming_decode_ml(y)))
+    np.testing.assert_array_equal(hamming._decoded_values("hamming_hd", y),
+                                  _values(hamming_decode_hd(bpsk_demod_hard(y))))
+    y4 = y[:, :K_BITS]
+    np.testing.assert_array_equal(hamming._decoded_values("uncoded_bpsk", y4),
+                                  _values(bpsk_demod_hard(y4)))

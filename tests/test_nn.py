@@ -15,6 +15,7 @@ from aecomm.nn import (
     param_count,
     power_normalize,
     relu,
+    row_reduce,
     softmax,
     split,
 )
@@ -128,6 +129,19 @@ def test_softmax_column_wise_max_equals_row_by_row_max_bit_for_bit(shape, overwr
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
     np.testing.assert_array_equal(a.view(np.uint64),
                                   (got if overwrite else z).view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 1), (7, 4), (3000, 64), (20000, 16)])
+def test_row_minimum_positive_is_the_all_active_test(shape):
+    """mse_decomposition's column-wise all-active test against
+    np.all(z > 0, axis=1), with NaN, +-0 and rows over several tiles."""
+    rng = np.random.default_rng(shape[0] + shape[1])
+    z = rng.normal(loc=1.0, size=shape)
+    z[::3, 0] = -0.0
+    z[1::4, -1] = 0.0
+    z[2::5, shape[1] // 2] = np.nan
+    z[3::6] = np.abs(z[3::6]) + 0.5  # all positive rows
+    np.testing.assert_array_equal(row_reduce(np.minimum, z) > 0, np.all(z > 0, axis=1))
 
 
 def test_power_normalize_hand_values():

@@ -16,9 +16,11 @@ interquartile range. The record is written to the current directory.
 BLAS thread: receive, decode_batch and estimate_bler on one 65,536-block
 chunk per perfbench fixture, and the training step split into the batch
 draw, backward_pass and adam_step at one-hot M=8 (10 dB and fig10's SNR
-set) and M=64 (5 dB). Each timing is the median of STAGE_ROUNDS processes
-a side, the sides taking turns, so a slow spell on the host does not land
-on one side only.
+set) and M=64 (5 dB); one 65,536-block baseline_block_errors chunk per
+scheme, split into the draw, the decode and the rest (modulation and error
+count); and one 65,536-sample mse_decomposition chunk on onehot_m4. Each
+timing is the median of STAGE_ROUNDS processes a side, the sides taking
+turns, so a slow spell on the host does not land on one side only.
 """
 
 from __future__ import annotations
@@ -123,6 +125,64 @@ print(json.dumps(out))
 """
 
 
+# run inside a checkout; prints milliseconds per 65,536-block chunk as one
+# JSON object. The draw is timed through a Generator proxy, the decode
+# through wrappers of whichever decoders the checkout's driver calls as
+# module attributes; the rest is modulation and error count.
+BASELINE_STAGE_SNIPPET = r"""
+import json, os, statistics, sys, time
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, "src")
+import numpy as np
+from aecomm import analysis, hamming
+from aecomm.model import load_checkpoint
+
+CHUNK = 1 << 16
+spent = {}
+
+def timed(name, fn):
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[name] += time.perf_counter() - start
+    return wrapper
+
+class TimedDraws:
+    def __init__(self, rng):
+        self.integers = timed("draw", rng.integers)
+        self.standard_normal = timed("draw", rng.standard_normal)
+
+for name in ("bpsk_demod_hard", "hamming_decode_hd", "hamming_decode_ml", "_decoded_values"):
+    if hasattr(hamming, name):
+        setattr(hamming, name, timed("decode", getattr(hamming, name)))
+out = {}
+for scheme in ("hamming_hd", "hamming_ml", "uncoded_bpsk"):
+    rounds = []
+    for r in range(16):
+        spent.update(draw=0.0, decode=0.0)
+        start = time.perf_counter()
+        hamming.baseline_block_errors(scheme, 4.0, CHUNK, TimedDraws(np.random.default_rng(r)))
+        total = time.perf_counter() - start
+        rounds.append((total, spent["draw"], spent["decode"],
+                       total - spent["draw"] - spent["decode"]))
+    # the first round warms caches and is dropped
+    medians = [statistics.median(column) for column in zip(*rounds[1:])]
+    out[scheme] = {name: round(1e3 * t, 2) for name, t in
+                   zip(("chunk", "draw", "decode", "modulate_and_count"), medians)}
+m = load_checkpoint("perfbench/fixtures/onehot_m4.ckpt")
+times = []
+for r in range(16):
+    start = time.perf_counter()
+    analysis.mse_decomposition(m, None, 0.05, CHUNK, np.random.default_rng(r))
+    times.append(time.perf_counter() - start)
+out["mse_decomposition_onehot_m4"] = {"chunk": round(1e3 * statistics.median(times[1:]), 2)}
+print(json.dumps(out))
+"""
+
+
 def parse_seeds(text: str) -> list[int]:
     """'11-15' or '11,12,14' -> a list of seeds."""
     seeds = []
@@ -211,7 +271,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="11-15", help="e.g. 11-15 or 11,13")
     parser.add_argument("--stages", action="store_true",
                         help="also time receive and estimate_bler on one chunk per "
-                             "fixture, and the stages of a training step")
+                             "fixture, the stages of a training step, and one "
+                             "baseline and MSE-decomposition chunk")
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -271,6 +332,18 @@ def main(argv=None) -> int:
                    f"{STAGE_ROUNDS} such processes a side, alternating which side runs "
                    "first",
             **stage_medians(checkouts, TRAIN_STAGE_SNIPPET),
+        }
+        record["baseline_chunk_ms"] = {
+            "how": f"milliseconds per {CHUNK:,}-block baseline_block_errors chunk at "
+                   "Eb/N0 4 dB per scheme, split into draw (rng.integers and "
+                   "rng.standard_normal, timed through a Generator proxy), decode "
+                   "(the decoders the driver calls, timed through wrappers) and "
+                   "modulate_and_count (the rest of the chunk), and per "
+                   f"{CHUNK:,}-sample mse_decomposition on onehot_m4 at sigma2 0.05; "
+                   "median of 15 calls after one warm-up, one BLAS thread, pinned to "
+                   f"one CPU; median of {STAGE_ROUNDS} such processes a side, "
+                   "alternating which side runs first",
+            **stage_medians(checkouts, BASELINE_STAGE_SNIPPET),
         }
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(record, indent=1) + "\n")
