@@ -43,8 +43,9 @@ def probe_mses(model, spec: ChannelSpec, K: int, rng) -> np.ndarray:
     K=1 is the single-shot probe of the published procedure; larger K
     trades probe cost for a stabler selection. The probes go through the
     channel and the receiver as one batch, in groups of at most CHUNK_BLOCKS
-    rows; the noise is drawn in probe order, and each probe's per-entry
-    errors are added to the total in probe order.
+    rows, into this thread's chunk buffer; the noise is drawn in probe
+    order, and each probe's per-entry errors are added to the total in probe
+    order.
     """
     if K < 1:
         raise DomainError(f"probes per vector must be >= 1, got {K}")
@@ -55,7 +56,8 @@ def probe_mses(model, spec: ChannelSpec, K: int, rng) -> np.ndarray:
     group = max(1, metrics.CHUNK_BLOCKS // count)
     for done in range(0, K, group):
         g = min(group, K - done)
-        p = model.receive(awgn(np.tile(x, (g, 1)), spec.sigma2, rng))
+        p = model.receive(awgn(np.tile(x, (g, 1)), spec.sigma2, rng),
+                          out=metrics.chunk_buffer(g * count, model.M))
         d = p.reshape(g, count, -1)
         d -= entries
         np.square(d, out=d)

@@ -33,8 +33,11 @@ def snr_db_to_sigma2(snr_db: float) -> float:
 def awgn(x, sigma2, rng: np.random.Generator):
     """y = x + n with n i.i.d. Normal(0, sigma2) per element.
 
-    sigma2 may be a scalar or an array broadcastable against x (e.g. one
-    variance per batch row, shaped (B, 1)). sigma2 = 0 returns x exactly.
+    sigma2 may be a scalar or an array that broadcasts to x's shape (e.g.
+    one variance per batch row, shaped (B, 1)). sigma2 = 0 returns a copy
+    of x. The result is a new array: the noise is drawn, scaled and has x
+    added in place, which gives the bits of x + sqrt(sigma2) * noise, since
+    IEEE products and sums commute exactly.
     """
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     if not np.all(np.isfinite(sigma2) & (sigma2 >= 0)):
@@ -42,7 +45,10 @@ def awgn(x, sigma2, rng: np.random.Generator):
     x = np.asarray(x, dtype=np.float64)
     if np.all(sigma2 == 0):
         return x.copy()
-    return x + np.sqrt(sigma2) * rng.standard_normal(x.shape)
+    y = rng.standard_normal(x.shape)
+    y *= np.sqrt(sigma2)
+    y += x
+    return y
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ carries the full config echo so a rerun can be checked byte for byte.
 from __future__ import annotations
 
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -21,6 +22,33 @@ from .errors import DomainError
 Z95 = 1.96
 MIN_ERROR_EVENTS = 100
 CHUNK_BLOCKS = 1 << 16
+# the chunk buffer keeps at most this many float64 elements: a receiver
+# output of CHUNK_BLOCKS rows at the largest codebook vector size, 32 MiB
+CHUNK_BUFFER_ELEMENTS = CHUNK_BLOCKS * 64
+
+_chunk_buffers = threading.local()
+
+
+def chunk_buffer(rows: int, cols: int) -> np.ndarray:
+    """A C-contiguous (rows, cols) float64 array of undefined contents, a
+    view into this thread's chunk buffer.
+
+    estimate_bler and adaptive.probe_mses pass it to `receive` as out=. A
+    fresh 65,536 x 64 float64 output is 32 MiB plus numpy's header, just
+    over glibc's largest mmap threshold, so every call would map it anew
+    and the kernel would zero its pages before the receiver first touched
+    them; the buffer is kept between calls instead. It grows to the largest
+    request up to CHUNK_BUFFER_ELEMENTS; a larger one gets a fresh array
+    that is not kept. Each call's view may overlap the last one's, so a
+    caller returns no view of it, and each thread has its own buffer.
+    """
+    size = rows * cols
+    if size > CHUNK_BUFFER_ELEMENTS:
+        return np.empty((rows, cols))
+    buf = getattr(_chunk_buffers, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _chunk_buffers.buf = np.empty(size)
+    return buf[:size].reshape(rows, cols)
 
 
 def wald_ci95(errors: int, trials: int) -> float:
@@ -83,7 +111,7 @@ def estimate_bler(model, codebook: Codebook | None, spec: ChannelSpec,
     MSE is the mean squared reconstruction error of the softmax output.
     The transmitter output depends only on the message id, so it is
     computed once per call for every entry, in chunks, and gathered per
-    block.
+    block. The receiver writes each chunk into this thread's chunk_buffer.
     """
     if blocks < 1:
         raise DomainError(f"blocks must be >= 1, got {blocks}")
@@ -105,7 +133,7 @@ def estimate_bler(model, codebook: Codebook | None, spec: ChannelSpec,
         done += b
         ids = rng.integers(0, count, size=b)
         y = awgn(table[ids], spec.sigma2, rng)
-        p = model.receive(y)
+        p = model.receive(y, out=chunk_buffer(b, model.M))
         ids_hat = decode_batch(p, codebook)
         block_errors += int(np.count_nonzero(ids_hat != ids))
         bit_errors += int(gray_bit_errors(ids, ids_hat).sum())

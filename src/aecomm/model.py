@@ -26,6 +26,7 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     DomainError,
+    ShapeError,
     TrainingDivergedError,
 )
 from .metrics import CHUNK_BLOCKS, atomic_write
@@ -88,11 +89,23 @@ class Autoencoder:
         x = nn.power_normalize(nn.dense(h, self.W2, self.b2))
         return x[0] if single else x
 
-    def receive(self, y):
-        """Channel output(s) -> softmax probability vector(s)."""
+    def receive(self, y, out: np.ndarray | None = None):
+        """Channel output(s) -> softmax probability vector(s).
+
+        The result is written into `out` when given, as numpy's out=: a
+        C-contiguous float64 array of the result's shape, (B, M) or (M,) for
+        one vector, which is returned. Its old contents are never read.
+        """
         yb, single = nn.as_batch(y, self.n)
         B = yb.shape[0]
-        p = np.empty((B, self.M))
+        shape = (self.M,) if single else (B, self.M)
+        if out is None:
+            out = np.empty(shape)
+        elif (out.shape != shape or out.dtype != np.float64
+              or not out.flags.c_contiguous):
+            raise ShapeError(f"out must be a C-contiguous float64 array of shape "
+                             f"{shape}, got {out.dtype} {out.shape}")
+        p = out.reshape(B, self.M)
         # Tile sizes differ by at most one row. A short last tile would be
         # wrong: BLAS multiplies one row, or a few, with other kernels that
         # round differently, so its rows would not match the untiled product.
@@ -100,8 +113,8 @@ class Autoencoder:
         for i in range(tiles):
             t = slice(i * B // tiles, (i + 1) * B // tiles)
             h = nn.dense(yb[t], self.W3, self.b3, nn.relu)
-            p[t] = nn.dense(h, self.W4, self.b4, nn.softmax)
-        return p[0] if single else p
+            nn.dense(h, self.W4, self.b4, nn.softmax, out=p[t])
+        return out
 
     def receiver_preactivation(self, y):
         """Affine part of the receiver relu layer, W3 y + b3 (no clipping)."""

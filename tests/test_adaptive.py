@@ -128,6 +128,38 @@ def test_batched_probe_equals_probe_loop_bit_for_bit(codebook, K):
     assert batched.standard_normal() == looped.standard_normal()
 
 
+def _fresh_buffer_probe(model, spec, K, rng):
+    """probe_mses as it was before the chunk buffer: a fresh receiver output
+    per probe group and the noise added out of place."""
+    entries = model.codebook.entries
+    count = entries.shape[0]
+    x = model.transmit(entries)
+    total = np.zeros(count)
+    group = max(1, metrics.CHUNK_BLOCKS // count)
+    for done in range(0, K, group):
+        g = min(group, K - done)
+        xg = np.tile(x, (g, 1))
+        p = model.receive(xg + np.sqrt(spec.sigma2) * rng.standard_normal(xg.shape))
+        d = p.reshape(g, count, -1)
+        d -= entries
+        np.square(d, out=d)
+        for errors in d.sum(axis=2):
+            total += errors
+    return total / K
+
+
+@pytest.mark.parametrize("codebook", [build_onehot(64), build_gdr(8, 4)],
+                         ids=["onehot_m64", "gdr_m8x4"])
+def test_chunk_buffer_probe_equals_fresh_output_bit_for_bit(codebook):
+    # K = 1025 spans two probe groups at 64 entries
+    model = build_model(codebook, 7, seed=4)
+    spec = ChannelSpec.from_snr_db(7, data_rate(codebook, 7), 2.0)
+    for K in (1, 100, 1025):
+        expected = _fresh_buffer_probe(model, spec, K, spawn_rng(7, K)).tobytes()
+        metrics.chunk_buffer(metrics.CHUNK_BLOCKS, 64).fill(np.nan)
+        assert probe_mses(model, spec, K, spawn_rng(7, K)).tobytes() == expected, f"K={K}"
+
+
 def test_run_adaptive_requires_64_entries():
     model = build_model(build_onehot(16), 7, seed=0)
     spec = ChannelSpec.from_snr_db(7, 4 / 7, 5.0)

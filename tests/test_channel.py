@@ -54,6 +54,21 @@ def test_awgn_broadcasts_per_row_variance():
     assert float(y[1000:].var()) == pytest.approx(0.01, rel=0.1)
 
 
+@pytest.mark.parametrize("sigma2", [0.0, 0.3, "per_row"])
+def test_awgn_returns_a_new_array_with_the_out_of_place_bits(sigma2):
+    x = np.random.default_rng(3).standard_normal((500, 7))
+    if sigma2 == "per_row":
+        sigma2 = np.random.default_rng(4).uniform(0.0, 2.0, size=(500, 1))
+    before = x.copy()
+    y = awgn(x, sigma2, np.random.default_rng(5))
+    assert y is not x
+    assert not np.shares_memory(y, x)
+    assert x.tobytes() == before.tobytes()
+    replay = np.random.default_rng(5)
+    expected = x + np.sqrt(sigma2) * replay.standard_normal(x.shape) if np.any(sigma2) else x
+    assert y.tobytes() == expected.tobytes()
+
+
 def test_awgn_rejects_negative_variance():
     with pytest.raises(DomainError):
         awgn(np.zeros(3), -0.1, np.random.default_rng(0))

@@ -1,15 +1,20 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from aecomm import metrics
 from aecomm.channel import ChannelSpec, awgn, spawn_rng
-from aecomm.codebooks import (build_gdr, build_onehot, data_rate, gray_bit_errors,
-                              subset_codebook)
+from aecomm.codebooks import (build_gdr, build_onehot, data_rate, decode_batch,
+                              gray_bit_errors, subset_codebook)
 from aecomm.errors import DomainError
 from aecomm.metrics import (
     CHUNK_BLOCKS,
+    CHUNK_BUFFER_ELEMENTS,
     EVALUATE_COLUMNS,
     atomic_write,
+    chunk_buffer,
     estimate_bler,
     format_value,
     read_csv,
@@ -85,8 +90,7 @@ def test_estimate_matches_reference_loop(kind):
         block_errors, bit_errors, mse = _reference_estimate(
             model, codebook, spec, blocks, spawn_rng(9, 0))
         assert rec.block_errors > 0
-        assert (rec.block_errors, rec.bit_errors) == (block_errors, bit_errors)
-        assert rec.mse == pytest.approx(mse, rel=1e-12)
+        assert (rec.block_errors, rec.bit_errors, rec.mse) == (block_errors, bit_errors, mse)
 
 
 def test_estimate_transmits_its_symbol_table_in_chunks(monkeypatch):
@@ -106,8 +110,134 @@ def test_estimate_transmits_its_symbol_table_in_chunks(monkeypatch):
     rec = estimate_bler(model, codebook, spec, 500, spawn_rng(9, 1))
     assert rows == [5, 5, 5, 1]
     assert rec.block_errors > 0
-    assert (rec.block_errors, rec.bit_errors) == expected[:2]
-    assert rec.mse == pytest.approx(expected[2], rel=1e-12)
+    assert (rec.block_errors, rec.bit_errors, rec.mse) == expected
+
+
+def _fresh_buffer_estimate(model, codebook, spec, blocks, rng):
+    """estimate_bler's chunk body as it was before the chunk buffer: a fresh
+    receiver output per chunk and the noise added out of place."""
+    count = len(codebook)
+    table = model.transmit(codebook.entries)
+    block_errors = bit_errors = 0
+    mse_sum = 0.0
+    for start in range(0, blocks, CHUNK_BLOCKS):
+        b = min(CHUNK_BLOCKS, blocks - start)
+        ids = rng.integers(0, count, size=b)
+        x = table[ids]
+        y = x + np.sqrt(spec.sigma2) * rng.standard_normal(x.shape) if spec.sigma2 else x
+        p = model.receive(y)
+        ids_hat = decode_batch(p, codebook)
+        block_errors += int(np.count_nonzero(ids_hat != ids))
+        bit_errors += int(gray_bit_errors(ids, ids_hat).sum())
+        p[np.arange(b)[:, None], codebook.supports[ids]] -= 1.0 / codebook.m
+        np.square(p, out=p)
+        mse_sum += float(np.sum(p))
+    return block_errors, bit_errors, (mse_sum / blocks).hex()
+
+
+def _counts(rec):
+    return rec.block_errors, rec.bit_errors, rec.mse.hex()
+
+
+def _buffer_case(kind):
+    """(model, codebook) for 'onehot_4' ... 'gdr_8x4', '+subset' keeping half
+    the entries in a scrambled order."""
+    name, _, subset = kind.partition("+")
+    codebook = build_gdr(8, 4) if name == "gdr_8x4" else build_onehot(int(name[7:]))
+    model = build_model(codebook, 7, seed=1)
+    if subset:
+        keep = np.random.default_rng(2).permutation(len(codebook))[:len(codebook) // 2]
+        codebook, _ = subset_codebook(codebook, keep)
+    return model, codebook
+
+
+BUFFER_CASES = [f"{name}{subset}" for name in ("onehot_4", "onehot_16", "onehot_64", "gdr_8x4")
+                for subset in ("", "+subset")]
+BUFFER_BLOCKS = (1, 7, CHUNK_BLOCKS - 1, CHUNK_BLOCKS, CHUNK_BLOCKS + 1, 2 * CHUNK_BLOCKS + 3)
+
+
+@pytest.mark.parametrize("kind", BUFFER_CASES)
+def test_chunk_buffer_estimate_equals_fresh_output_bit_for_bit(kind):
+    model, codebook = _buffer_case(kind)
+    spec = ChannelSpec.from_ebn0(7, codebook.bits_per_message / 7, 2.0)
+    for blocks in BUFFER_BLOCKS:
+        rec = estimate_bler(model, codebook, spec, blocks, spawn_rng(11, blocks))
+        assert _counts(rec) == _fresh_buffer_estimate(
+            model, codebook, spec, blocks, spawn_rng(11, blocks)), f"blocks={blocks}"
+
+
+def test_estimate_ignores_what_the_chunk_buffer_held():
+    small, _ = _buffer_case("onehot_4")
+    large, _ = _buffer_case("onehot_64")
+    spec4 = ChannelSpec.from_ebn0(7, 2 / 7, 2.0)
+    spec64 = ChannelSpec.from_ebn0(7, 6 / 7, 2.0)
+    blocks = CHUNK_BLOCKS + 3
+    expected = _fresh_buffer_estimate(small, small.codebook, spec4, blocks, spawn_rng(12, 0))
+    chunk_buffer(CHUNK_BLOCKS, 64).fill(np.nan)
+    assert _counts(estimate_bler(small, None, spec4, blocks, spawn_rng(12, 0))) == expected
+    # a wider receiver output fills the buffer first
+    estimate_bler(large, None, spec64, blocks, spawn_rng(12, 1))
+    assert _counts(estimate_bler(small, None, spec4, blocks, spawn_rng(12, 0))) == expected
+
+
+def test_chunk_buffer_views_one_bounded_buffer_per_thread():
+    a = chunk_buffer(3, 5)
+    assert a.shape == (3, 5) and a.dtype == np.float64 and a.flags.c_contiguous
+    b = chunk_buffer(5, 3)
+    assert np.shares_memory(a, b)
+    full = chunk_buffer(CHUNK_BLOCKS, 64)
+    assert full.size == CHUNK_BUFFER_ELEMENTS
+    assert np.shares_memory(full, chunk_buffer(1, 1))
+    # beyond the bound a request gets its own array, and the buffer stays
+    over = chunk_buffer(CHUNK_BLOCKS + 1, 64)
+    assert over.shape == (CHUNK_BLOCKS + 1, 64)
+    assert not np.shares_memory(over, full)
+    assert np.shares_memory(full, chunk_buffer(7, 64))
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(chunk_buffer(3, 5)))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert not np.shares_memory(seen[0], chunk_buffer(3, 5))
+
+
+def test_threads_evaluating_at_once_match_their_serial_records():
+    # more threads than cores, switching often, on a narrow and a wide
+    # receiver: a buffer shared between threads would mix their chunks
+    models = [_buffer_case("onehot_4")[0], _buffer_case("onehot_64")[0]]
+    specs = [ChannelSpec.from_ebn0(7, 2 / 7, 2.0), ChannelSpec.from_ebn0(7, 6 / 7, 2.0)]
+    blocks = CHUNK_BLOCKS + 5
+    jobs = [(i % 2, i) for i in range(4)]
+
+    def run(job):
+        which, key = job
+        return estimate_bler(models[which], None, specs[which], blocks, spawn_rng(13, key))
+
+    serial = [run(job) for job in jobs]
+    results = {i: [] for i in range(len(jobs))}
+    errors = []
+
+    def worker(i):
+        try:
+            for _ in range(3):
+                results[i].append(run(jobs[i]))
+        except Exception as exc:  # the main thread reports it
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    for i, records in results.items():
+        assert records == [serial[i]] * 3
 
 
 def test_untrained_model_is_mostly_wrong():

@@ -19,6 +19,7 @@ from aecomm.errors import (
     ConfigError,
     DegenerateInputError,
     DomainError,
+    ShapeError,
     TrainingDivergedError,
 )
 from aecomm.model import (
@@ -413,6 +414,21 @@ def test_tiled_receive_equals_untiled_product_bit_for_bit(codebook):
         p = model.receive(y)
         assert p.shape == (B, model.M)
         np.testing.assert_array_equal(p, _untiled_receive(model, y), err_msg=f"B={B}")
+        # into a given buffer, whatever it held, with the same bits
+        buf = np.full((B, model.M), np.nan)
+        assert model.receive(y, out=buf) is buf
+        assert buf.tobytes() == p.tobytes(), f"B={B}"
     single = model.receive(y[5])
     assert single.shape == (model.M,)
     np.testing.assert_array_equal(single, _untiled_receive(model, y[5:6])[0])
+    buf = np.full(model.M, np.nan)
+    assert model.receive(y[5], out=buf) is buf
+    assert buf.tobytes() == single.tobytes()
+    B = len(y)
+    for bad in (np.empty((B + 1, model.M)), np.empty(model.M),
+                np.empty((B, model.M), np.float32), np.empty((B, 2 * model.M))[:, ::2],
+                np.empty((model.M, B)).T):
+        with pytest.raises(ShapeError):
+            model.receive(y, out=bad)
+    with pytest.raises(ShapeError):
+        model.receive(y[5], out=np.empty((1, model.M)))

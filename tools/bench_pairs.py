@@ -14,7 +14,10 @@ interquartile range. The record is written to the current directory.
 
 --stages also times, on each side, in processes pinned to one CPU with one
 BLAS thread: receive, decode_batch and estimate_bler on one 65,536-block
-chunk per perfbench fixture, and the training step split into the batch
+chunk per perfbench fixture, probe_mses at K=100 on the two 64-entry
+fixtures, the first and second estimate_bler chunk of a fresh process on
+onehot_m64 (what a one-shot `aecomm evaluate` pays before any buffer is
+kept), and the training step split into the batch
 draw, backward_pass and adam_step at one-hot M=8 (10 dB and fig10's SNR
 set) and M=64 (5 dB); one 65,536-block baseline_block_errors chunk per
 scheme, split into the draw, the decode and the rest (modulation and error
@@ -38,8 +41,10 @@ import numpy as np
 GATED = ("pass_cost", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 CHUNK = 1 << 16
-# --stages runs each stage process this many times a side
+# --stages runs each stage process this many times a side, and the
+# one-sample first-call process FIRST_CALL_PROCESSES times
 STAGE_ROUNDS = 5
+FIRST_CALL_PROCESSES = 15
 
 # run inside a checkout; prints per-fixture timings as one JSON object
 STAGE_SNIPPET = r"""
@@ -48,6 +53,7 @@ if hasattr(os, "sched_setaffinity"):
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 sys.path.insert(0, "src")
 import numpy as np
+from aecomm.adaptive import probe_mses
 from aecomm.channel import ChannelSpec, awgn, spawn_rng
 from aecomm.codebooks import data_rate, decode_batch
 from aecomm.metrics import estimate_bler
@@ -75,7 +81,34 @@ for name in ("onehot_m16", "onehot_m64", "gdr_m8x4"):
     bler = median_ms(lambda: estimate_bler(m, None, spec, CHUNK, spawn_rng(0)), 7)
     out[name] = {"receive": receive, "decode_batch": decode, "estimate_bler": bler,
                  "mblocks_per_s": round(CHUNK / bler / 1e3, 2)}
+    if len(m.codebook) == 64:
+        probe_spec = ChannelSpec.from_snr_db(m.n, data_rate(m.codebook, m.n), 1.0)
+        out[name]["probe_mses_k100"] = median_ms(
+            lambda: probe_mses(m, probe_spec, 100, spawn_rng(0)), 15)
 print(json.dumps(out))
+"""
+
+
+# run inside a checkout; prints the first and second estimate_bler chunk of
+# a fresh process in milliseconds as one JSON object
+FIRST_CALL_SNIPPET = r"""
+import json, os, sys, time
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, "src")
+from aecomm.channel import ChannelSpec, spawn_rng
+from aecomm.codebooks import data_rate
+from aecomm.metrics import estimate_bler
+from aecomm.model import load_checkpoint
+
+m = load_checkpoint("perfbench/fixtures/onehot_m64.ckpt")
+spec = ChannelSpec.from_ebn0(m.n, data_rate(m.codebook, m.n), 4.0)
+times = []
+for call in range(2):
+    start = time.perf_counter()
+    estimate_bler(m, None, spec, 1 << 16, spawn_rng(call))
+    times.append(round(1e3 * (time.perf_counter() - start), 1))
+print(json.dumps({"onehot_m64": {"first_call": times[0], "second_call": times[1]}}))
 """
 
 
@@ -249,11 +282,11 @@ def stages(checkout: Path, snippet: str) -> dict:
     return json.loads(done.stdout)
 
 
-def stage_medians(checkouts: dict, snippet: str) -> dict:
-    """snippet run STAGE_ROUNDS times on each side, alternating which side
+def stage_medians(checkouts: dict, snippet: str, repeats: int = STAGE_ROUNDS) -> dict:
+    """snippet run `repeats` times on each side, alternating which side
     runs first; per side, each timing's median over the rounds."""
     rounds = {side: [] for side in SIDES}
-    for r in range(STAGE_ROUNDS):
+    for r in range(repeats):
         for side in SIDES if r % 2 else SIDES[::-1]:
             rounds[side].append(stages(checkouts[side], snippet))
     return {side: {name: {key: round(statistics.median(run[name][key] for run in runs), 2)
@@ -315,12 +348,22 @@ def main(argv=None) -> int:
     }
     if args.stages:
         record["chunk_stages_ms"] = {
-            "how": f"median of 15 receive calls, 15 decode_batch calls on the "
-                   "received probabilities and 7 estimate_bler calls on one "
-                   f"{CHUNK:,}-block chunk at Eb/N0 4 dB, one BLAS thread, pinned to "
-                   f"one CPU; median of {STAGE_ROUNDS} such processes a side, "
-                   "alternating which side runs first",
+            "how": f"median of 15 receive calls (a fresh output each), 15 "
+                   "decode_batch calls on the received probabilities and 7 "
+                   f"estimate_bler calls on one {CHUNK:,}-block chunk at Eb/N0 "
+                   "4 dB, and of 15 probe_mses calls at K=100, 1 dB SNR on the "
+                   "64-entry fixtures; one BLAS thread, pinned to one CPU; median "
+                   f"of {STAGE_ROUNDS} such processes a side, alternating which "
+                   "side runs first",
             **stage_medians(checkouts, STAGE_SNIPPET),
+        }
+        record["first_call_ms"] = {
+            "how": f"the first and the second {CHUNK:,}-block estimate_bler call "
+                   "of a fresh process on onehot_m64 at Eb/N0 4 dB, after the "
+                   "checkpoint load; one BLAS thread, pinned to one CPU; median of "
+                   f"{FIRST_CALL_PROCESSES} such processes a side, alternating which "
+                   "side runs first",
+            **stage_medians(checkouts, FIRST_CALL_SNIPPET, FIRST_CALL_PROCESSES),
         }
         record["train_step_us"] = {
             "how": "microseconds per step of a 2-epoch train (20,000 samples, batch 45, "
