@@ -10,7 +10,7 @@ Monte Carlo sweeps with CSV output.
 from .adaptive import (AdaptiveState, probe_mses, run_adaptive, select_vectors,
                        selected_codebook)
 from .analysis import (LinearizedReceiver, achievable_rate, build_F,
-                       mse_decomposition, relu_activation_report)
+                       mse_decomposition)
 from .channel import ChannelSpec, awgn, sigma2_from_ebn0, snr_db_to_sigma2, spawn_rng
 from .codebooks import (Codebook, build_gdr, build_onehot, data_rate,
                         decode_batch, gray_bit_errors, subset_codebook)
@@ -33,7 +33,6 @@ __all__ = [
     "AdaptiveState", "probe_mses", "run_adaptive", "select_vectors",
     "selected_codebook",
     "LinearizedReceiver", "achievable_rate", "build_F", "mse_decomposition",
-    "relu_activation_report",
     "ChannelSpec", "awgn", "sigma2_from_ebn0", "snr_db_to_sigma2", "spawn_rng",
     "Codebook", "build_gdr", "build_onehot", "data_rate", "decode_batch",
     "gray_bit_errors", "subset_codebook",

@@ -76,32 +76,6 @@ def achievable_rate(M: int, m: int, n: int, ebn0_db) -> np.ndarray:
     return np.log2(1.0 + 2.0 * ebn0 * bits / n)
 
 
-def relu_activation_report(model, codebook: Codebook | None, sigma2: float,
-                           samples: int, rng) -> float:
-    """Fraction of received blocks whose relu units are all strictly active.
-
-    Quantifies how often the all-active linearization case applies. With
-    sigma2 = 0 the channel is deterministic, so the exact per-entry fraction
-    is returned instead of a Monte Carlo estimate.
-    """
-    if codebook is None:
-        codebook = model.codebook
-    x = model.transmit(codebook.entries)
-    if sigma2 == 0:
-        u = model.receiver_preactivation(x)
-        return float(np.mean(np.all(u > 0, axis=1)))
-    active = 0
-    done = 0
-    while done < samples:
-        b = min(samples - done, CHUNK_BLOCKS)
-        done += b
-        ids = rng.integers(0, len(codebook), size=b)
-        y = x[ids] + np.sqrt(sigma2) * rng.standard_normal((b, x.shape[1]))
-        u = model.receiver_preactivation(y)
-        active += int(np.all(u > 0, axis=1).sum())
-    return active / samples
-
-
 def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
                       samples: int, rng,
                       taylor_order: int = DEFAULT_TAYLOR_ORDER,

@@ -21,6 +21,9 @@ PAPER_VECTOR_SIZES = (4, 8, 16, 32, 64)
 
 # Refuse codebooks that would not fit in memory.
 MAX_ENTRIES = 1 << 20
+# decode looks support masks up in a direct 2^M-entry int64 table when it
+# fits in this many bytes (M <= 16), else by binary search in the sorted masks
+MASK_TABLE_BYTES = 1 << 19
 
 
 class Codebook:
@@ -53,7 +56,7 @@ class Codebook:
         rows = np.repeat(np.arange(count), m)
         entries[rows, supports.ravel()] = 1.0 / m
         self.entries = entries
-        # uint64 bitmask per support set, for O(log K) decode lookup (needs M <= 64)
+        # uint64 bitmask per support set, for the decode lookup (needs M <= 64)
         if M > 64:
             raise DomainError(f"vector size {M} exceeds the 64 supported by decode lookup")
         masks = np.bitwise_or.reduce(
@@ -64,6 +67,15 @@ class Codebook:
         self._ids_by_mask = order.astype(np.int64)
         if np.any(self._masks_sorted[1:] == self._masks_sorted[:-1]):
             raise DomainError("codebook supports are not pairwise distinct")
+        # m=1 with ids in ascending support order decodes by argmax and
+        # needs no mask table; other codebooks pack each row's mask into the
+        # narrowest of 8/16/32/64 bits
+        self._argmax_decode = m == 1 and bool(np.all(np.diff(supports[:, 0]) > 0))
+        self._mask_dtype = np.dtype(f"<u{max(8, 1 << (M - 1).bit_length()) // 8}")
+        self._id_by_mask = None
+        if not self._argmax_decode and (8 << M) <= MASK_TABLE_BYTES:
+            self._id_by_mask = np.full(1 << M, -1, dtype=np.int64)
+            self._id_by_mask[masks] = np.arange(count)
 
     def __len__(self) -> int:
         return self.entries.shape[0]
@@ -150,49 +162,54 @@ def data_rate(codebook: Codebook, n: int) -> float:
 def decode_batch(p, codebook: Codebook) -> np.ndarray:
     """Decode received probability vectors to message ids.
 
-    Takes the m highest-probability indices of each row (ties toward the
-    lower index, NaN below every number). If that support set is a codebook
-    entry, returns its id; otherwise falls back to the entry whose support
-    carries the largest probability mass (ties toward the lower message id).
+    Takes the m highest-probability indices of each row, where NaN ranks
+    above every number and equal values or NaNs go toward the lower index.
+    If that support set is a codebook entry, returns its id; otherwise
+    falls back to the entry whose support carries the largest probability
+    mass (ties toward the lower message id; a NaN anywhere in the row makes
+    every mass NaN, and the first entry wins).
 
     For m=1 with ids in ascending support order (every codebook the
-    package builds) this is the first maximum over the kept columns, where
-    np.argmax takes a NaN for the maximum. Otherwise a row's m largest
-    values are those at or above its m-th largest; only rows with a tie at
-    that cut, or a NaN, take the stable sort that orders equal values by
-    index.
+    package builds) this is np.argmax over the kept columns, which ignores
+    a NaN in a column no entry keeps. Otherwise a row's m largest values
+    are those at or above its m-th largest; only rows with a tie at that
+    cut, or a NaN, take the sort that orders equal values by index. The
+    support masks are looked up in the codebook's direct table when it has
+    one, else by binary search.
     """
     pb = np.atleast_2d(np.asarray(p, dtype=np.float64))
     if pb.ndim != 2 or pb.shape[1] != codebook.M:
         raise ShapeError(f"expected (rows, {codebook.M}) probabilities, got shape {pb.shape}")
     m = codebook.m
-    cols = codebook.supports[:, 0]
-    if m == 1 and np.all(np.diff(cols) > 0):
+    if codebook._argmax_decode:
+        cols = codebook.supports[:, 0]
         return np.argmax(pb if len(cols) == codebook.M else pb[:, cols], axis=1)
     # a tie across the cut (+-0 included) needs the index order; np.sort
-    # puts NaN last, where argsort(-p) ranks it lowest
+    # puts NaN last
     srt = np.sort(pb, axis=1)
     cut = srt[:, -m]
     slow = np.isnan(srt[:, -1])
     if m < codebook.M:
         slow |= srt[:, -m - 1] == cut
-    # bit j of the support mask is column j: little-endian bits and bytes
-    bits = np.packbits(pb >= cut[:, None], axis=1, bitorder="little")
-    packed = np.zeros((pb.shape[0], 8), dtype=np.uint8)
-    packed[:, :bits.shape[1]] = bits
-    masks = packed.view("<u8")[:, 0]
+    # bit j of the support mask is column j: every row padded to the mask
+    # width, all rows packed in one call, little-endian bits and bytes
+    dtype = codebook._mask_dtype
+    above = np.zeros((pb.shape[0], 8 * dtype.itemsize), dtype=bool)
+    np.greater_equal(pb, cut[:, None], out=above[:, :codebook.M])
+    masks = np.packbits(above, bitorder="little").view(dtype)
     if slow.any():
-        # stable sort on -p keeps the lower index first among ties
-        top = np.argsort(-pb[slow], axis=1, kind="stable")[:, :m]
+        # NaN first, then high to low; stable, so the lower index goes first
+        q = pb[slow]
+        top = np.lexsort((-q, ~np.isnan(q)), axis=1)[:, :m]
         masks[slow] = np.bitwise_or.reduce(
-            np.left_shift(np.uint64(1), top.astype(np.uint64)), axis=1)
-    pos = np.searchsorted(codebook._masks_sorted, masks)
-    pos = np.minimum(pos, len(codebook) - 1)
-    hit = codebook._masks_sorted[pos] == masks
-    ids = np.empty(pb.shape[0], dtype=np.int64)
-    ids[hit] = codebook._ids_by_mask[pos[hit]]
-    if not np.all(hit):
-        miss = ~hit
+            np.left_shift(dtype.type(1), top.astype(dtype)), axis=1)
+    if codebook._id_by_mask is not None:
+        ids = codebook._id_by_mask[masks]
+    else:
+        pos = np.minimum(np.searchsorted(codebook._masks_sorted, masks), len(codebook) - 1)
+        ids = np.where(codebook._masks_sorted[pos] == masks, codebook._ids_by_mask[pos], -1)
+    miss = ids < 0
+    if miss.any():
         mass = pb[miss] @ (codebook.entries > 0).T.astype(np.float64)
         ids[miss] = np.argmax(mass, axis=1)
     return ids

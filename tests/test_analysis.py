@@ -5,7 +5,6 @@ from aecomm.analysis import (
     achievable_rate,
     build_F,
     mse_decomposition,
-    relu_activation_report,
 )
 from aecomm.channel import spawn_rng
 from aecomm.errors import DomainError, SingularityError
@@ -73,21 +72,6 @@ def test_achievable_rate_rejects_bad_order():
         achievable_rate(16, 0, 7, 10.0)
     with pytest.raises(DomainError):
         achievable_rate(16, 9, 7, 10.0)
-
-
-def test_activation_report_noiseless_is_exact(model_zoo):
-    model, _ = model_zoo(4, 1, 10.0, seed=2)
-    frac = relu_activation_report(model, None, 0.0, 0, spawn_rng(0, 0))
-    u = model.receiver_preactivation(model.transmit(model.codebook.entries))
-    assert frac == pytest.approx(float(np.mean(np.all(u > 0, axis=1))))
-    assert 0.0 <= frac <= 1.0
-
-
-def test_activation_report_is_reproducible(model_zoo):
-    model, _ = model_zoo(4, 1, 10.0, seed=2)
-    a = relu_activation_report(model, None, 0.05, 20_000, spawn_rng(5, 0))
-    b = relu_activation_report(model, None, 0.05, 20_000, spawn_rng(5, 0))
-    assert a == b
 
 
 def test_decomposition_noise_term_is_exactly_linear_in_sigma2(model_zoo):

@@ -127,15 +127,20 @@ def test_decode_rejects_wrong_length():
 
 def _reference_decode(p, cb):
     """Row by row: the m largest indices by a stable sort that ranks NaN
-    below every number, as argsort(-p) does; the entry with that support;
-    else the entry of largest support mass. A mass is p times the support's
-    0/1 indicator, summed over all M columns, so a NaN anywhere in the row
-    makes every mass NaN; the first NaN mass wins, else the first maximum,
-    as np.argmax picks."""
+    above every number, lower index first among NaNs and equal values;
+    the entry with that support; else the entry of largest support mass. A
+    mass is p times the support's 0/1 indicator, summed over all M columns,
+    so a NaN anywhere in the row makes every mass NaN; the first NaN mass
+    wins, else the first maximum, as np.argmax picks. For m=1 with ids in
+    ascending support order decode_batch is np.argmax over the kept
+    columns, so only those are ranked."""
     by_support = {tuple(s): i for i, s in enumerate(cb.supports.tolist())}
+    cols = cb.supports[:, 0].tolist()
+    if not (cb.m == 1 and cols == sorted(set(cols))):
+        cols = range(cb.M)
     out = []
     for row in p.tolist():
-        ranked = sorted(range(cb.M), key=lambda j: (math.isnan(row[j]), -row[j]))
+        ranked = sorted(cols, key=lambda j: (0, 0.0) if math.isnan(row[j]) else (1, -row[j]))
         top = tuple(sorted(ranked[:cb.m]))
         if top in by_support:
             out.append(by_support[top])
@@ -150,8 +155,9 @@ _DECODE_PARENTS = (
     build_onehot(4), build_onehot(16), build_onehot(64),
     build_gdr(8, 2), build_gdr(8, 3), build_gdr(8, 4),
     build_gdr(16, 2, selection="random", selection_seed=5),
-    # masks spanning several bytes, and an M that is not a multiple of 8
-    build_gdr(64, 2), build_gdr(12, 3),
+    # masks spanning several bytes, and rows padded to 8, 16 and 32 bits;
+    # M=24 and M=64 look masks up by binary search, the others in the table
+    build_gdr(64, 2), build_gdr(12, 3), build_gdr(4, 2), build_gdr(24, 2),
     # ids in descending support order: on a tie the support-mass fallback
     # picks another entry than the stable sort does
     Codebook(8, 1, build_onehot(8).supports[::-1]),
@@ -164,8 +170,7 @@ def _decode_cases(draw):
     """A codebook (full, or a subset as adaptive selection builds them) and
     probabilities on a dyadic grid: coarse grids force exact ties, and
     every support mass is an exact sum. Some cases also hold -0.0 entries,
-    which tie with 0.0, and, for m > 1, NaN entries (the m=1 argmax takes
-    a NaN for the maximum, where the sort rule ranks it lowest)."""
+    which tie with 0.0, and NaN entries."""
     cb = draw(st.sampled_from(_DECODE_PARENTS))
     if draw(st.booleans()):
         k = draw(st.sampled_from([t for t in (2, 4, 8, 16) if t < len(cb)]))
@@ -179,8 +184,7 @@ def _decode_cases(draw):
     if draw(st.booleans()):
         special = draw(arrays(np.int64, p.shape, elements=st.integers(0, 7)))
         p[special == 1] = -0.0
-        if cb.m > 1:
-            p[special == 2] = np.nan
+        p[special == 2] = np.nan
     return cb, p
 
 
@@ -191,6 +195,34 @@ def test_decode_batch_matches_brute_force_reference(case):
     before = p.copy()
     np.testing.assert_array_equal(decode_batch(p, cb), _reference_decode(p, cb))
     np.testing.assert_array_equal(p, before)
+
+
+def test_decode_ranks_nan_first_for_every_m():
+    # the m=1 argmax rule: NaN above every number, the lower index first
+    p = [0.5, np.nan, 0.2, np.nan, 0.3, 0.0, 0.0, 0.0]
+    assert decode_batch(p, build_onehot(8))[0] == 1
+    reversed_onehot = Codebook(8, 1, build_onehot(8).supports[::-1])
+    assert decode_batch(p, reversed_onehot)[0] == 6  # the entry of column 1
+    cb = build_gdr(8, 2)
+    assert cb.supports[decode_batch(p, cb)[0]].tolist() == [1, 3]
+
+
+def test_mask_table_agrees_with_the_sorted_masks():
+    """Every mask of M <= 16 bits finds the same id, or the same miss, in
+    the direct table as by binary search in the sorted masks. Codebooks
+    that decode by argmax have no table."""
+    assert {cb._id_by_mask is None for cb in _DECODE_PARENTS
+            if not cb._argmax_decode} == {False, True}
+    for parent in _DECODE_PARENTS:
+        keep = np.random.default_rng(parent.M).permutation(len(parent))[:len(parent) // 2]
+        for cb in (parent, subset_codebook(parent, keep)[0]):
+            assert (cb._id_by_mask is None) == (cb._argmax_decode or cb.M > 16)
+            if cb._id_by_mask is None:
+                continue
+            masks = np.arange(1 << cb.M, dtype=np.uint64)
+            pos = np.minimum(np.searchsorted(cb._masks_sorted, masks), len(cb) - 1)
+            expected = np.where(cb._masks_sorted[pos] == masks, cb._ids_by_mask[pos], -1)
+            np.testing.assert_array_equal(cb._id_by_mask, expected)
 
 
 def test_encode_rejects_out_of_range_ids():

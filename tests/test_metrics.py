@@ -13,6 +13,7 @@ from aecomm.metrics import (
     CHUNK_BLOCKS,
     CHUNK_BUFFER_ELEMENTS,
     EVALUATE_COLUMNS,
+    MSE_BLOCK_ELEMENTS,
     atomic_write,
     chunk_buffer,
     estimate_bler,
@@ -115,7 +116,8 @@ def test_estimate_transmits_its_symbol_table_in_chunks(monkeypatch):
 
 def _fresh_buffer_estimate(model, codebook, spec, blocks, rng):
     """estimate_bler's chunk body as it was before the chunk buffer: a fresh
-    receiver output per chunk and the noise added out of place."""
+    receiver output per chunk, the noise added out of place, and the MSE
+    update as one 2-D fancy index per chunk."""
     count = len(codebook)
     table = model.transmit(codebook.entries)
     block_errors = bit_errors = 0
@@ -143,7 +145,10 @@ def _buffer_case(kind):
     """(model, codebook) for 'onehot_4' ... 'gdr_8x4', '+subset' keeping half
     the entries in a scrambled order."""
     name, _, subset = kind.partition("+")
-    codebook = build_gdr(8, 4) if name == "gdr_8x4" else build_onehot(int(name[7:]))
+    if name.startswith("gdr_8x"):
+        codebook = build_gdr(8, int(name[6:]))
+    else:
+        codebook = build_onehot(int(name[7:]))
     model = build_model(codebook, 7, seed=1)
     if subset:
         keep = np.random.default_rng(2).permutation(len(codebook))[:len(codebook) // 2]
@@ -151,9 +156,12 @@ def _buffer_case(kind):
     return model, codebook
 
 
-BUFFER_CASES = [f"{name}{subset}" for name in ("onehot_4", "onehot_16", "onehot_64", "gdr_8x4")
+BUFFER_CASES = [f"{name}{subset}"
+                for name in ("onehot_4", "onehot_16", "onehot_64", "gdr_8x3", "gdr_8x4")
                 for subset in ("", "+subset")]
-BUFFER_BLOCKS = (1, 7, CHUNK_BLOCKS - 1, CHUNK_BLOCKS, CHUNK_BLOCKS + 1, 2 * CHUNK_BLOCKS + 3)
+# MSE_BLOCK_ELEMENTS + 1 rows end one row into a second MSE update block at m=1
+BUFFER_BLOCKS = (1, 7, MSE_BLOCK_ELEMENTS + 1, CHUNK_BLOCKS - 1, CHUNK_BLOCKS,
+                 CHUNK_BLOCKS + 1, 2 * CHUNK_BLOCKS + 3)
 
 
 @pytest.mark.parametrize("kind", BUFFER_CASES)

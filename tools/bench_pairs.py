@@ -13,9 +13,11 @@ linear quartiles, the median change in percent and the parent's
 interquartile range. The record is written to the current directory.
 
 --stages also times, on each side, in processes pinned to one CPU with one
-BLAS thread: receive, decode_batch and estimate_bler on one 65,536-block
-chunk per perfbench fixture, probe_mses at K=100 on the two 64-entry
-fixtures, the first and second estimate_bler chunk of a fresh process on
+BLAS thread: receive (into a kept output array where the checkout's
+receive takes out=, as estimate_bler calls it), decode_batch and
+estimate_bler on one 65,536-block chunk per perfbench fixture, decode_batch
+on a 4-entry subset of gdr_m8x4 (what an adaptive point decodes), probe_mses
+at K=100 on the two 64-entry fixtures, the first and second estimate_bler chunk of a fresh process on
 onehot_m64 (what a one-shot `aecomm evaluate` pays before any buffer is
 kept), and the training step split into the batch
 draw, backward_pass and adam_step at one-hot M=8 (10 dB and fig10's SNR
@@ -48,18 +50,20 @@ FIRST_CALL_PROCESSES = 15
 
 # run inside a checkout; prints per-fixture timings as one JSON object
 STAGE_SNIPPET = r"""
-import json, os, statistics, sys, time
+import inspect, json, os, statistics, sys, time
 if hasattr(os, "sched_setaffinity"):
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 sys.path.insert(0, "src")
 import numpy as np
 from aecomm.adaptive import probe_mses
 from aecomm.channel import ChannelSpec, awgn, spawn_rng
-from aecomm.codebooks import data_rate, decode_batch
+from aecomm.codebooks import data_rate, decode_batch, subset_codebook
 from aecomm.metrics import estimate_bler
 from aecomm.model import load_checkpoint
 
 CHUNK = 1 << 16
+# a 4-entry subset codebook of gdr_m8x4, as an adaptive point keeps
+SUBSET = (0, 21, 42, 63)
 
 def median_ms(fn, repeats):
     times = []
@@ -75,12 +79,22 @@ for name in ("onehot_m16", "onehot_m64", "gdr_m8x4"):
     spec = ChannelSpec.from_ebn0(m.n, data_rate(m.codebook, m.n), 4.0)
     ids = np.random.default_rng(0).integers(0, len(m.codebook), size=CHUNK)
     y = awgn(m.transmit(m.codebook.entries)[ids], spec.sigma2, np.random.default_rng(1))
-    receive = median_ms(lambda: m.receive(y), 15)
+    if "out" in inspect.signature(m.receive).parameters:
+        kept = np.empty((CHUNK, m.M))
+        receive = median_ms(lambda: m.receive(y, out=kept), 15)
+    else:
+        receive = median_ms(lambda: m.receive(y), 15)
     p = m.receive(y)
     decode = median_ms(lambda: decode_batch(p, m.codebook), 15)
     bler = median_ms(lambda: estimate_bler(m, None, spec, CHUNK, spawn_rng(0)), 7)
     out[name] = {"receive": receive, "decode_batch": decode, "estimate_bler": bler,
                  "mblocks_per_s": round(CHUNK / bler / 1e3, 2)}
+    if name == "gdr_m8x4":
+        sub, _ = subset_codebook(m.codebook, SUBSET)
+        ys = awgn(m.transmit(sub.entries)[ids % len(sub)], spec.sigma2,
+                  np.random.default_rng(2))
+        ps = m.receive(ys)
+        out[name]["decode_batch_subset4"] = median_ms(lambda: decode_batch(ps, sub), 15)
     if len(m.codebook) == 64:
         probe_spec = ChannelSpec.from_snr_db(m.n, data_rate(m.codebook, m.n), 1.0)
         out[name]["probe_mses_k100"] = median_ms(
@@ -348,11 +362,15 @@ def main(argv=None) -> int:
     }
     if args.stages:
         record["chunk_stages_ms"] = {
-            "how": f"median of 15 receive calls (a fresh output each), 15 "
+            "how": f"median of 15 receive calls (into one kept output array "
+                   "where receive takes out=, else a fresh output each), 15 "
                    "decode_batch calls on the received probabilities and 7 "
                    f"estimate_bler calls on one {CHUNK:,}-block chunk at Eb/N0 "
-                   "4 dB, and of 15 probe_mses calls at K=100, 1 dB SNR on the "
-                   "64-entry fixtures; one BLAS thread, pinned to one CPU; median "
+                   "4 dB, of 15 decode_batch calls on a chunk sent from and decoded "
+                   "with the 4-entry subset (0, 21, 42, 63) of gdr_m8x4 "
+                   "(decode_batch_subset4), and of 15 probe_mses calls at K=100, 1 "
+                   "dB SNR on the 64-entry fixtures; one BLAS thread, pinned to one "
+                   "CPU; median "
                    f"of {STAGE_ROUNDS} such processes a side, alternating which "
                    "side runs first",
             **stage_medians(checkouts, STAGE_SNIPPET),
