@@ -26,7 +26,7 @@ CHUNK_BLOCKS = 1 << 16
 # output of CHUNK_BLOCKS rows at the largest codebook vector size, 32 MiB
 CHUNK_BUFFER_ELEMENTS = CHUNK_BLOCKS * 64
 # support elements per flat-index MSE update: index temporaries of 64 KiB
-# (twice that raised a GDR 8-of-4 sweep's peak RSS by 3 MB)
+# (four times that, 8,192 GDR 8-of-4 rows, raised a sweep's peak RSS 3 MB)
 MSE_BLOCK_ELEMENTS = 1 << 13
 
 _chunk_buffers = threading.local()

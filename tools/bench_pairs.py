@@ -16,12 +16,12 @@ interquartile range. The record is written to the current directory.
 BLAS thread: receive (into a kept output array where the checkout's
 receive takes out=, as estimate_bler calls it), decode_batch and
 estimate_bler on one 65,536-block chunk per perfbench fixture, decode_batch
-on a 4-entry subset of gdr_m8x4 (what an adaptive point decodes), probe_mses
-at K=100 on the two 64-entry fixtures, the first and second estimate_bler chunk of a fresh process on
-onehot_m64 (what a one-shot `aecomm evaluate` pays before any buffer is
-kept), and the training step split into the batch
-draw, backward_pass and adam_step at one-hot M=8 (10 dB and fig10's SNR
-set) and M=64 (5 dB); one 65,536-block baseline_block_errors chunk per
+on a 4-entry subset of gdr_m8x4 (what an adaptive point decodes),
+probe_mses at K=100 on the two 64-entry fixtures, the first and second
+estimate_bler chunk of a fresh process on onehot_m64 (what a one-shot
+`aecomm evaluate` pays before any buffer is kept), and the training step
+split into the batch draw, backward_pass and adam_step at one-hot M=8
+(10 dB and fig10's SNR set) and M=64 (5 dB); one 65,536-block baseline_block_errors chunk per
 scheme, split into the draw, the decode and the rest (modulation and error
 count); and one 65,536-sample mse_decomposition chunk on onehot_m4. Each
 timing is the median of STAGE_ROUNDS processes a side, the sides taking
