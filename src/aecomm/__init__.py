@@ -19,8 +19,6 @@ from .errors import (CheckpointDimensionError, CheckpointError,
                      ConfigError, DegenerateInputError, DomainError,
                      ShapeError, SingularityError, TrainingDivergedError,
                      UnknownRecipeError)
-from .hamming import (bpsk_demod_hard, bpsk_modulate, hamming_decode_hd,
-                      hamming_decode_ml, hamming_encode)
 from .metrics import MetricRecord, estimate_bler, wald_ci95, write_csv
 from .model import (Autoencoder, TrainingConfig, TrainingTrace, build_model,
                     load_checkpoint, save_checkpoint, theoretical_param_count,
@@ -40,8 +38,6 @@ __all__ = [
     "CheckpointVersionError", "ConfigError", "DegenerateInputError",
     "DomainError", "ShapeError", "SingularityError", "TrainingDivergedError",
     "UnknownRecipeError",
-    "bpsk_demod_hard", "bpsk_modulate", "hamming_decode_hd",
-    "hamming_decode_ml", "hamming_encode",
     "MetricRecord", "estimate_bler", "wald_ci95", "write_csv",
     "Autoencoder", "TrainingConfig", "TrainingTrace", "build_model",
     "load_checkpoint", "save_checkpoint", "theoretical_param_count", "train",

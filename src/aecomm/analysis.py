@@ -15,7 +15,7 @@ import numpy as np
 
 from .codebooks import Codebook
 from .errors import DomainError, SingularityError
-from .metrics import CHUNK_BLOCKS
+from .metrics import chunk_sizes
 from .nn import row_reduce, softmax
 
 DEFAULT_TAYLOR_ORDER = 20
@@ -94,6 +94,7 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
     """
     if not (np.isfinite(sigma2) and sigma2 >= 0):
         raise DomainError(f"noise variance must be finite and non-negative, got {sigma2}")
+    sizes = chunk_sizes(samples, "samples")
     if codebook is None:
         codebook = model.codebook
     W_r, b_r = model.W3, model.b3
@@ -110,7 +111,7 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
     signal_terms = np.empty(included.size)
     noise_terms = np.empty(included.size)
     for k, i in enumerate(included):
-        f = _series(u0[i], taylor_order) / np.sum(np.exp(u0[i]))
+        f = build_F(u0[i], taylor_order, u_min).f_diag
         signal_terms[k] = np.sum((f * u0[i] - codebook.entries[i]) ** 2)
         noise_terms[k] = np.sum(f ** 2 * row_norms2) * sigma2
     signal_term = float(np.mean(signal_terms))
@@ -122,10 +123,7 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
     noise_scale = np.sqrt(sigma2)
     sim_sum = 0.0
     sim_blocks = 0
-    done = 0
-    while done < samples:
-        b = min(samples - done, CHUNK_BLOCKS)
-        done += b
+    for b in sizes:
         ids = included[rng.integers(0, included.size, size=b)]
         y = rng.standard_normal((b, x.shape[1]))
         y *= noise_scale

@@ -81,10 +81,6 @@ class ChannelSpec:
         return cls(n=n, rate=rate, sigma2=snr_db_to_sigma2(snr_db),
                    snr_kind="snr_db", snr_db=snr_db)
 
-    @property
-    def snr_linear(self) -> float:
-        return 1.0 / self.sigma2
-
 
 def spawn_rng(master_seed, *key) -> np.random.Generator:
     """Independent generator stream for (master seed, key...), order-free.

@@ -54,6 +54,15 @@ def chunk_buffer(rows: int, cols: int) -> np.ndarray:
     return buf[:size].reshape(rows, cols)
 
 
+def chunk_sizes(total: int, name: str):
+    """The sizes of the chunks a Monte Carlo loop over `total` draws works
+    in: CHUNK_BLOCKS each, then the remainder. A total below 1 is refused
+    by name, before the first chunk is drawn."""
+    if total < 1:
+        raise DomainError(f"{name} must be >= 1, got {total}")
+    return (min(CHUNK_BLOCKS, total - start) for start in range(0, total, CHUNK_BLOCKS))
+
+
 def wald_ci95(errors: int, trials: int) -> float:
     """Half-width of the 95% normal-approximation interval for a proportion."""
     if trials < 1:
@@ -116,8 +125,7 @@ def estimate_bler(model, codebook: Codebook | None, spec: ChannelSpec,
     computed once per call for every entry, in chunks, and gathered per
     block. The receiver writes each chunk into this thread's chunk_buffer.
     """
-    if blocks < 1:
-        raise DomainError(f"blocks must be >= 1, got {blocks}")
+    sizes = chunk_sizes(blocks, "blocks")
     if codebook is None:
         codebook = model.codebook
     if scheme is None:
@@ -130,10 +138,7 @@ def estimate_bler(model, codebook: Codebook | None, spec: ChannelSpec,
     block_errors = 0
     bit_errors = 0
     mse_sum = 0.0
-    done = 0
-    while done < blocks:
-        b = min(blocks - done, CHUNK_BLOCKS)
-        done += b
+    for b in sizes:
         ids = rng.integers(0, count, size=b)
         y = awgn(table[ids], spec.sigma2, rng)
         p = model.receive(y, out=chunk_buffer(b, model.M))

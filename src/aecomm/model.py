@@ -45,7 +45,7 @@ def theoretical_param_count(M: int, n: int) -> dict:
     accounting that charges 2n parameters to the normalization layer.
 
     The l2 normalization actually used has no parameters; the live model
-    therefore carries total - 2n trainables (see Autoencoder.num_parameters).
+    therefore carries total - 2n trainables, the size of Autoencoder.theta.
     """
     return {
         "dense": (M + 1) * (M + n),
@@ -78,9 +78,6 @@ class Autoencoder:
 
     def params(self) -> list[np.ndarray]:
         return nn.split(self.theta, self.M, self.n)
-
-    def num_parameters(self) -> int:
-        return self.theta.size
 
     def transmit(self, s):
         """Codebook vector(s) -> power-normalized channel symbols."""
@@ -115,10 +112,6 @@ class Autoencoder:
             h = nn.dense(yb[t], self.W3, self.b3, nn.relu)
             nn.dense(h, self.W4, self.b4, nn.softmax, out=p[t])
         return out
-
-    def receiver_preactivation(self, y):
-        """Affine part of the receiver relu layer, W3 y + b3 (no clipping)."""
-        return np.asarray(y) @ self.W3.T + self.b3
 
     def params_checksum(self) -> str:
         return hashlib.sha256(np.ascontiguousarray(self.theta, dtype="<f8")).hexdigest()

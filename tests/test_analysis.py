@@ -106,7 +106,7 @@ def test_decomposition_rejects_model_with_no_active_entry():
     from aecomm.model import build_model
 
     model = build_model(build_onehot(4), 7, seed=0)
-    u = model.receiver_preactivation(model.transmit(model.codebook.entries))
+    u = model.transmit(model.codebook.entries) @ model.W3.T + model.b3
     assert not np.any(np.all(u > 0, axis=1))  # precondition for this seed
     with pytest.raises(DomainError):
         mse_decomposition(model, None, 0.01, 100, spawn_rng(9, 0))
@@ -120,6 +120,13 @@ def test_decomposition_rejects_bad_noise_variance():
     for sigma2 in (-0.1, np.nan, np.inf):
         with pytest.raises(DomainError, match="noise variance"):
             mse_decomposition(model, None, sigma2, 100, spawn_rng(9, 0))
+
+
+def test_decomposition_refuses_what_build_F_refuses(model_zoo):
+    # each entry's linearization is build_F's, checks included
+    model, _ = model_zoo(4, 1, 10.0, seed=2)
+    with pytest.raises(DomainError, match="taylor order must be >= 1, got 0"):
+        mse_decomposition(model, None, 0.01, 100, spawn_rng(9, 0), taylor_order=0)
 
 
 def _reference_simulated_mse(model, sigma2, samples, rng):

@@ -102,7 +102,7 @@ def test_channel_spec_constructors():
     spec = ChannelSpec.from_snr_db(7, 4 / 7, 10.0)
     assert spec.snr_kind == "snr_db"
     assert spec.sigma2 == pytest.approx(0.1)
-    assert spec.snr_linear == pytest.approx(10.0)
+    assert 1 / spec.sigma2 == pytest.approx(10.0)
 
 
 def test_spawn_rng_streams_are_order_independent():

@@ -345,6 +345,24 @@ class TestCliWorkflow:
         for name in ("e.csv", "t.ckpt", "b.csv", "a.csv"):
             assert not (tmp_path / name).exists()
 
+    def test_counts_below_one_are_one_line_errors(self, model_zoo, capsys, tmp_path):
+        model, _ = model_zoo(4, 1, 10.0, seed=2)
+        ckpt = tmp_path / "m4.ckpt"
+        save_checkpoint(model, str(ckpt))
+        calls = [
+            (("baseline", "--ebn0", "0", "--blocks", 0), "blocks must be >= 1, got 0"),
+            (("baseline", "--ebn0", "0", "--blocks", -5), "blocks must be >= 1, got -5"),
+            (("analyze", "--checkpoint", ckpt, "--sigma2", "0.01", "--samples", 0),
+             "samples must be >= 1, got 0"),
+            (("analyze", "--checkpoint", ckpt, "--sigma2", "0.01", "--samples", -5),
+             "samples must be >= 1, got -5"),
+        ]
+        for argv, message in calls:
+            out = tmp_path / "out.csv"
+            assert run_cli(*argv, "--out", out) == 2, argv
+            assert capsys.readouterr().err == f"error: DomainError: {message}\n", argv
+            assert not out.exists()
+
     def test_infinite_snr_is_the_noiseless_point(self, tmp_path):
         ckpt = tmp_path / "m4.ckpt"
         assert run_cli("train", "--M", 4, "--epochs", 1, "--train-samples", 200,

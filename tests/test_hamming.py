@@ -14,20 +14,63 @@ from aecomm.hamming import (
     GENERATOR,
     K_BITS,
     N_BITS,
-    PARITY_CHECK,
     RATE,
     baseline_block_errors,
     baseline_sweep,
-    bpsk_demod_hard,
-    bpsk_modulate,
     hamming_decode_hd,
     hamming_decode_ml,
     hamming_encode,
-    syndrome,
 )
 from aecomm.metrics import BASELINE_COLUMNS, CHUNK_BLOCKS, wald_ci95
 
-ALL_MESSAGES = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.int64)
+# row v holds the MSB-first bits of v
+ALL_MESSAGES = np.array(list(itertools.product((0, 1), repeat=K_BITS)), dtype=np.int64)
+ALL_WORDS = np.array(list(itertools.product((0, 1), repeat=N_BITS)), dtype=np.int64)
+
+# The bit-row references the package's tables are checked against: the
+# generator matmul, the parity-check matrix [P^T | I] and its syndrome
+# decoder, BPSK and its sign slicer, and soft decoding by an argmax over
+# the codeword images.
+PARITY_CHECK = np.hstack([GENERATOR[:, K_BITS:].T, np.eye(N_BITS - K_BITS, dtype=np.int64)])
+
+
+def _encode(msg):
+    return (np.asarray(msg) @ GENERATOR) % 2
+
+
+def _syndrome(words):
+    return (np.asarray(words) @ PARITY_CHECK.T) % 2
+
+
+def _syndrome_decode(words):
+    """Flip the bit whose parity-check column equals the syndrome (none for
+    a zero syndrome); the message is the first four bits."""
+    corrected = np.array(words, dtype=np.int64)
+    s = _syndrome(corrected)
+    for pos in range(N_BITS):
+        rows = np.all(s == PARITY_CHECK[:, pos], axis=1)
+        corrected[rows, pos] ^= 1
+    return corrected[:, :K_BITS]
+
+
+def _bpsk(bits):
+    return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
+
+
+def _slice(y):
+    """Sign slicer; an exact zero resolves to bit 0."""
+    return (np.asarray(y) < 0).astype(np.int64)
+
+
+def _ml_decode(y):
+    """The message whose codeword image has the largest correlation with y
+    (the nearest, all images having equal norm), ties to the lower message."""
+    return ALL_MESSAGES[np.argmax(np.asarray(y) @ _bpsk(_encode(ALL_MESSAGES)).T, axis=1)]
+
+
+def _values(bits):
+    """Rows of MSB-first bits -> their integer values."""
+    return np.asarray(bits) @ (1 << np.arange(np.shape(bits)[-1] - 1, -1, -1))
 
 
 def test_generator_and_parity_check_are_orthogonal():
@@ -51,7 +94,7 @@ def test_encode_hand_values():
 
 
 def test_codewords_have_zero_syndrome():
-    np.testing.assert_array_equal(syndrome(CODEWORDS), 0)
+    np.testing.assert_array_equal(_syndrome(CODEWORDS), 0)
 
 
 def test_every_single_bit_error_is_corrected():
@@ -78,12 +121,16 @@ def test_double_bit_errors_always_decode_wrong():
 
 
 def test_bpsk_mapping():
-    np.testing.assert_array_equal(bpsk_modulate([0, 1, 0]), [1.0, -1.0, 1.0])
-    np.testing.assert_array_equal(bpsk_demod_hard([0.3, -0.3, 0.0]), [0, 1, 0])
+    # bit 0 -> +1, bit 1 -> -1; the slicer resolves an exact zero of either
+    # sign to bit 0
+    np.testing.assert_array_equal(hamming._UNCODED[0b0110], [1.0, -1.0, -1.0, 1.0])
+    np.testing.assert_array_equal(hamming._IMAGES[0], np.ones(N_BITS))
+    y = np.array([[0.3, -0.3, 0.0, -0.0]])
+    np.testing.assert_array_equal(hamming._decoded_values("uncoded_bpsk", y), [0b0100])
 
 
 def test_ml_decodes_clean_and_scaled_images():
-    images = bpsk_modulate(CODEWORDS)
+    images = _bpsk(CODEWORDS)
     msgs = CODEWORDS[:, :K_BITS]
     np.testing.assert_array_equal(hamming_decode_ml(images), msgs)
     np.testing.assert_array_equal(hamming_decode_ml(0.37 * images), msgs)
@@ -95,7 +142,7 @@ def test_ml_corrects_single_hard_errors_too():
         for pos in range(N_BITS):
             r = c.copy()
             r[pos] ^= 1
-            np.testing.assert_array_equal(hamming_decode_ml(bpsk_modulate(r)), msg)
+            np.testing.assert_array_equal(hamming_decode_ml(_bpsk(r)), msg)
 
 
 def test_ml_is_at_least_as_good_as_hd():
@@ -141,6 +188,21 @@ def test_encode_rejects_wrong_width():
         hamming_encode([0, 1, 0])
     with pytest.raises(ShapeError):
         hamming_decode_hd([0, 1, 0, 1])
+    with pytest.raises(ShapeError):
+        hamming_decode_ml(np.zeros((2, 4)))
+    with pytest.raises(ShapeError):
+        hamming_encode(np.zeros((2, 2, 4), dtype=int))
+
+
+def test_bits_other_than_zero_or_one_are_refused():
+    for bits in ([0, 1, 2, 0], [0, 1, -1, 0], [0.5, 0, 0, 1], [np.nan, 0, 0, 0]):
+        with pytest.raises(DomainError, match="bits must be 0 or 1"):
+            hamming_encode(bits)
+    with pytest.raises(DomainError, match="got 3"):
+        hamming_decode_hd([[0] * N_BITS, [1, 0, 3, 0, 1, 1, 0]])
+    # 0/1 given as bools or floats are bits
+    np.testing.assert_array_equal(hamming_encode([True, False, False, True]),
+                                  hamming_encode([1.0, 0.0, 0.0, 1.0]))
 
 
 @pytest.mark.parametrize("scheme", ["hamming_hd", "hamming_ml", "uncoded_bpsk"])
@@ -159,9 +221,10 @@ def test_baseline_sweep_point_i_is_the_direct_call_on_its_stream(scheme):
 
 
 def _reference_block_errors(scheme, ebn0_db, blocks, rng):
-    """The driver's chunk body on bit rows: the public encoder (GENERATOR
-    matmul), syndrome decoder and ML decoder (_MESSAGES[argmax]), and a
-    bit-array compare. The table-driven driver must match it bit for bit."""
+    """baseline_block_errors' chunk body on bit rows through the references
+    above: generator matmul, BPSK, sign slicer and syndrome decoder, or the
+    ML argmax, and a bit-array compare. The table lookups must match it bit
+    for bit."""
     rate = 1.0 if scheme == "uncoded_bpsk" else RATE
     sigma = np.sqrt(sigma2_from_ebn0(rate, ebn0_db))
     bit_errors = block_errors = done = 0
@@ -170,14 +233,14 @@ def _reference_block_errors(scheme, ebn0_db, blocks, rng):
         done += b
         msg = rng.integers(0, 2, size=(b, K_BITS))
         if scheme == "uncoded_bpsk":
-            y = bpsk_modulate(msg) + sigma * rng.standard_normal((b, K_BITS))
-            decoded = bpsk_demod_hard(y)
+            y = _bpsk(msg) + sigma * rng.standard_normal((b, K_BITS))
+            decoded = _slice(y)
         else:
-            y = bpsk_modulate(hamming_encode(msg)) + sigma * rng.standard_normal((b, N_BITS))
+            y = _bpsk(_encode(msg)) + sigma * rng.standard_normal((b, N_BITS))
             if scheme == "hamming_hd":
-                decoded = hamming_decode_hd(bpsk_demod_hard(y))
+                decoded = _syndrome_decode(_slice(y))
             else:
-                decoded = hamming_decode_ml(y)
+                decoded = _ml_decode(y)
         wrong = decoded != msg
         bit_errors += int(wrong.sum())
         block_errors += int(wrong.any(axis=1).sum())
@@ -196,20 +259,29 @@ def test_baseline_equals_bit_row_reference_bit_for_bit(scheme, ebn0_db, blocks):
     assert repr(got) == repr(expected)
 
 
-def _values(bits):
-    """Rows of MSB-first bits -> their integer values."""
-    return np.asarray(bits) @ (1 << np.arange(np.shape(bits)[-1] - 1, -1, -1))
+def test_codeword_table_is_the_generator_matmul():
+    np.testing.assert_array_equal(CODEWORDS, _encode(ALL_MESSAGES))
+    np.testing.assert_array_equal(hamming_encode(ALL_MESSAGES), _encode(ALL_MESSAGES))
+
+
+def test_every_word_has_one_nearest_codeword():
+    # Hamming(7,4) is perfect: the radius-1 balls around the 16 codewords
+    # tile all 128 words, so the nearest codeword is unique
+    dist = np.abs(ALL_WORDS[:, None, :] - CODEWORDS[None, :, :]).sum(axis=2)
+    assert dist.min(axis=1).max() == 1
+    np.testing.assert_array_equal(np.sum(dist == dist.min(axis=1)[:, None], axis=1), 1)
 
 
 def test_hard_decision_table_is_the_syndrome_decoder():
-    words = np.array(list(itertools.product((0, 1), repeat=N_BITS)), dtype=np.int64)
-    np.testing.assert_array_equal(hamming._HD_TABLE, _values(hamming_decode_hd(words)))
+    expected = _syndrome_decode(ALL_WORDS)
+    np.testing.assert_array_equal(hamming._HD_TABLE, _values(expected))
+    np.testing.assert_array_equal(hamming_decode_hd(ALL_WORDS), expected)
 
 
 def test_image_tables_are_the_modulated_codewords_and_messages():
-    for v, msg in enumerate(ALL_MESSAGES):
-        np.testing.assert_array_equal(hamming._IMAGES[v], bpsk_modulate(hamming_encode(msg)))
-        np.testing.assert_array_equal(hamming._UNCODED[v], bpsk_modulate(msg))
+    np.testing.assert_array_equal(hamming._IMAGES, _bpsk(_encode(ALL_MESSAGES)))
+    np.testing.assert_array_equal(hamming._UNCODED, _bpsk(ALL_MESSAGES))
+    np.testing.assert_array_equal(hamming._UNCODED[0b0110], [1.0, -1.0, -1.0, 1.0])
 
 
 # soft rows on a coarse grid, so ties between codeword correlations and
@@ -221,10 +293,13 @@ _SOFT_ROWS = arrays(np.float64, st.tuples(st.integers(1, 20), st.just(N_BITS)),
 @settings(max_examples=200, deadline=None)
 @given(_SOFT_ROWS)
 def test_table_decoders_equal_the_public_decoders(y):
-    np.testing.assert_array_equal(hamming._decoded_values("hamming_ml", y),
-                                  _values(hamming_decode_ml(y)))
-    np.testing.assert_array_equal(hamming._decoded_values("hamming_hd", y),
-                                  _values(hamming_decode_hd(bpsk_demod_hard(y))))
+    # both equal the bit-row references too
+    ml = hamming_decode_ml(y)
+    np.testing.assert_array_equal(ml, _ml_decode(y))
+    np.testing.assert_array_equal(hamming._decoded_values("hamming_ml", y), _values(ml))
+    hd = hamming_decode_hd(_slice(y))
+    np.testing.assert_array_equal(hd, _syndrome_decode(_slice(y)))
+    np.testing.assert_array_equal(hamming._decoded_values("hamming_hd", y), _values(hd))
     y4 = y[:, :K_BITS]
     np.testing.assert_array_equal(hamming._decoded_values("uncoded_bpsk", y4),
-                                  _values(bpsk_demod_hard(y4)))
+                                  _values(_slice(y4)))

@@ -16,6 +16,7 @@ from aecomm.metrics import (
     MSE_BLOCK_ELEMENTS,
     atomic_write,
     chunk_buffer,
+    chunk_sizes,
     estimate_bler,
     format_value,
     read_csv,
@@ -287,6 +288,21 @@ def test_estimate_rejects_zero_blocks():
     spec = ChannelSpec.from_snr_db(7, 3 / 7, 0.0)
     with pytest.raises(DomainError):
         estimate_bler(model, None, spec, 0, spawn_rng(0, 0))
+
+
+@pytest.mark.parametrize("total", [1, 7, CHUNK_BLOCKS - 1, CHUNK_BLOCKS, CHUNK_BLOCKS + 1,
+                                   3 * CHUNK_BLOCKS, 3 * CHUNK_BLOCKS + 5])
+def test_chunk_sizes_are_full_chunks_then_the_rest(total):
+    sizes = list(chunk_sizes(total, "blocks"))
+    assert sum(sizes) == total
+    assert sizes[:-1] == [CHUNK_BLOCKS] * (len(sizes) - 1)
+    assert 1 <= sizes[-1] <= CHUNK_BLOCKS
+
+
+@pytest.mark.parametrize("total", [0, -5])
+def test_chunk_sizes_refuse_a_count_below_one_by_name(total):
+    with pytest.raises(DomainError, match=f"^samples must be >= 1, got {total}$"):
+        chunk_sizes(total, "samples")
 
 
 def test_scheme_label_defaults_by_codebook_order(model_zoo):

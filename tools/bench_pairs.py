@@ -202,9 +202,8 @@ class TimedDraws:
         self.integers = timed("draw", rng.integers)
         self.standard_normal = timed("draw", rng.standard_normal)
 
-for name in ("bpsk_demod_hard", "hamming_decode_hd", "hamming_decode_ml", "_decoded_values"):
-    if hasattr(hamming, name):
-        setattr(hamming, name, timed("decode", getattr(hamming, name)))
+# the one decode call baseline_block_errors makes
+hamming._decoded_values = timed("decode", hamming._decoded_values)
 out = {}
 for scheme in ("hamming_hd", "hamming_ml", "uncoded_bpsk"):
     rounds = []
