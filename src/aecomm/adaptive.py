@@ -32,7 +32,6 @@ class AdaptiveState:
     probe_mses: np.ndarray
     feedback_labels: np.ndarray
     M1: int
-    probes_per_vector: int
     outage: bool
     rate_bits_per_use: float | None = None
 
@@ -66,14 +65,15 @@ def probe_mses(model, spec: ChannelSpec, K: int, rng) -> np.ndarray:
     return total / K
 
 
-def select_vectors(mses, threshold: float,
-                   probes_per_vector: int = 1) -> AdaptiveState:
+def select_vectors(mses, threshold: float) -> AdaptiveState:
     """Pick the largest tier M1 in {4,8,16,32,64} whose M1 best entries all
     meet the threshold; if none does, fall back to the best 4 and flag outage.
 
     The selected set is always the MSE-sorted prefix (ties toward the lower
     entry index), so every kept entry satisfies the threshold unless outage.
     """
+    if np.isnan(threshold):
+        raise DomainError("MSE threshold must not be NaN")
     mses = np.asarray(mses, dtype=np.float64)
     if mses.ndim != 1 or mses.shape[0] < SUBSET_TIERS[0]:
         raise DomainError(f"need at least {SUBSET_TIERS[0]} probe MSEs, "
@@ -94,7 +94,6 @@ def select_vectors(mses, threshold: float,
         probe_mses=mses,
         feedback_labels=order[:M1],
         M1=M1,
-        probes_per_vector=probes_per_vector,
         outage=outage,
     )
 
@@ -105,8 +104,7 @@ def run_adaptive(model, spec: ChannelSpec, threshold: float, K: int,
     if len(model.codebook) != PROBE_ENTRY_COUNT:
         raise DomainError(f"adaptive selection expects {PROBE_ENTRY_COUNT} "
                           f"codebook entries, got {len(model.codebook)}")
-    state = select_vectors(probe_mses(model, spec, K, rng), threshold,
-                           probes_per_vector=K)
+    state = select_vectors(probe_mses(model, spec, K, rng), threshold)
     state.rate_bits_per_use = log2(state.M1) / spec.n
     return state
 

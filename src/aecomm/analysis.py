@@ -3,8 +3,8 @@
 The receiver analysis models the decoder as a softmax applied to the relu
 layer's affine response u = W_r y + b_r, linearized as p ~= F u with F
 diagonal. That approximation only holds where every relu unit is active,
-so the decomposition restricts itself to those blocks and reports how many
-were excluded.
+so the decomposition restricts itself to those blocks and leaves the other
+codebook entries out.
 """
 
 from __future__ import annotations
@@ -25,11 +25,8 @@ DEFAULT_U_MIN = 1e-3
 class LinearizedReceiver:
     """Diagonal linear stand-in for the softmax, built at a reference point."""
 
-    def __init__(self, f_diag: np.ndarray, taylor_order: int, u: np.ndarray):
+    def __init__(self, f_diag: np.ndarray):
         self.f_diag = f_diag
-        self.taylor_order = taylor_order
-        self.u = u
-        self.all_active = bool(np.all(u > 0))
 
     def predict(self, u) -> np.ndarray:
         """Approximate softmax output, F u."""
@@ -37,7 +34,9 @@ class LinearizedReceiver:
 
 
 def _series(u: np.ndarray, order: int) -> np.ndarray:
-    # 1/u + 1 + u/2! + ... + u^(order-1)/order!
+    # 1/u + 1 + u/2! + ... + u^(order-1)/order!, elementwise
+    if order < 1:
+        raise DomainError(f"taylor order must be >= 1, got {order}")
     total = 1.0 / u + 1.0
     term = np.ones_like(u)
     for j in range(2, order + 1):
@@ -57,14 +56,11 @@ def build_F(u, taylor_order: int = DEFAULT_TAYLOR_ORDER,
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
         raise DomainError(f"reference activation must be 1-D, got ndim={u.ndim}")
-    if taylor_order < 1:
-        raise DomainError(f"taylor order must be >= 1, got {taylor_order}")
     small = np.nonzero(np.abs(u) < u_min)[0]
     if small.size:
         i = int(small[0])
         raise SingularityError(i, float(u[i]), u_min)
-    f_diag = _series(u, taylor_order) / np.sum(np.exp(u))
-    return LinearizedReceiver(f_diag, taylor_order, u)
+    return LinearizedReceiver(_series(u, taylor_order) / np.sum(np.exp(u)))
 
 
 def achievable_rate(M: int, m: int, n: int, ebn0_db) -> np.ndarray:
@@ -86,7 +82,7 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
     and contributes ||F u - s||^2 plus the noise term ||F W_r||_F^2 sigma2
     (Frobenius, since E||F W_r n||^2 = sigma2 ||F W_r||_F^2 for white noise).
     Entries whose noiseless activation has a component below u_min cannot be
-    linearized and are excluded and reported.
+    linearized and are left out.
 
     The simulated reference is the Monte Carlo MSE of the same receiver path,
     softmax(W_r y + b_r), restricted to blocks where all relu units stay
@@ -102,20 +98,15 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
     u0 = x @ W_r.T + b_r
     ok = np.all(np.abs(u0) >= u_min, axis=1) & np.all(u0 > 0, axis=1)
     included = np.nonzero(ok)[0]
-    excluded = np.nonzero(~ok)[0]
     if included.size == 0:
         raise DomainError("no codebook entry keeps every relu unit active; "
                           "the all-active decomposition does not apply")
 
-    row_norms2 = np.sum(W_r ** 2, axis=1)
-    signal_terms = np.empty(included.size)
-    noise_terms = np.empty(included.size)
-    for k, i in enumerate(included):
-        f = build_F(u0[i], taylor_order, u_min).f_diag
-        signal_terms[k] = np.sum((f * u0[i] - codebook.entries[i]) ** 2)
-        noise_terms[k] = np.sum(f ** 2 * row_norms2) * sigma2
-    signal_term = float(np.mean(signal_terms))
-    noise_term = float(np.mean(noise_terms))
+    # row k of f is build_F(u0[included[k]]).f_diag, with the same bits
+    u_ref = u0[included]
+    f = _series(u_ref, taylor_order) / np.sum(np.exp(u_ref), axis=1, keepdims=True)
+    signal_term = float(np.mean(np.sum((f * u_ref - codebook.entries[included]) ** 2, axis=1)))
+    noise_term = float(np.mean(np.sum(f ** 2 * np.sum(W_r ** 2, axis=1), axis=1) * sigma2))
 
     # the chunk works in place with the bits of x[ids] + sigma n, W_r y + b_r
     # and sum((p - s) ** 2): the sums commute, and the squares are summed
@@ -146,5 +137,4 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
         "predicted_total": signal_term + noise_term,
         "simulated_mse": sim_sum / sim_blocks if sim_blocks else float("nan"),
         "active_fraction": sim_blocks / samples,
-        "excluded_entries": tuple(int(i) for i in excluded),
     }

@@ -80,13 +80,6 @@ class Codebook:
     def __len__(self) -> int:
         return self.entries.shape[0]
 
-    def encode(self, message_ids) -> np.ndarray:
-        """Map message id(s) to transmit vector(s)."""
-        ids = np.asarray(message_ids)
-        if np.any(ids < 0) or np.any(ids >= len(self)):
-            raise DomainError(f"message id out of range [0, {len(self)})")
-        return self.entries[ids]
-
     def manifest(self) -> dict:
         """Text-serializable description sufficient to rebuild the codebook."""
         return {

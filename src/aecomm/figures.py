@@ -257,7 +257,9 @@ def _recipe_fig11(ctx: RecipeContext, manifest: dict) -> None:
 
 
 def _recipe_fig12(ctx: RecipeContext, manifest: dict) -> None:
-    """Reconstruction MSE over operating SNR for the same trained models."""
+    """Reconstruction MSE over operating SNR for M=8 one-hot models trained
+    at each of fig11's training SNRs; the recipe trains its own seven,
+    under fig12-* tags."""
     _training_study_sweep(ctx, manifest, "fig12", _training_study_curves(ctx))
 
 

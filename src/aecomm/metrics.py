@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -73,7 +73,8 @@ def wald_ci95(errors: int, trials: int) -> float:
 
 @dataclass
 class MetricRecord:
-    """One evaluated operating point."""
+    """One evaluated operating point; the fields are the evaluate CSV's
+    columns, in order."""
 
     scheme: str
     snr_kind: str
@@ -82,32 +83,17 @@ class MetricRecord:
     block_errors: int
     bit_errors: int
     bler: float
-    ber: float
-    mse: float
     bler_ci95: float
+    ber: float
     ber_ci95: float
+    mse: float
     low_confidence: bool
 
     def as_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "snr_kind": self.snr_kind,
-            "snr_db": self.snr_db,
-            "blocks": self.blocks,
-            "block_errors": self.block_errors,
-            "bit_errors": self.bit_errors,
-            "bler": self.bler,
-            "bler_ci95": self.bler_ci95,
-            "ber": self.ber,
-            "ber_ci95": self.ber_ci95,
-            "mse": self.mse,
-            "low_confidence": self.low_confidence,
-        }
+        return asdict(self)
 
 
-EVALUATE_COLUMNS = ("scheme", "snr_kind", "snr_db", "blocks", "block_errors",
-                    "bit_errors", "bler", "bler_ci95", "ber", "ber_ci95",
-                    "mse", "low_confidence")
+EVALUATE_COLUMNS = tuple(f.name for f in fields(MetricRecord))
 ADAPTIVE_COLUMNS = ("snr_db", "threshold", "K", "M1", "outage",
                     "rate_bits_per_use", "bler", "bler_ci95")
 BASELINE_COLUMNS = ("scheme", "ebn0_db", "ber", "ber_ci95", "blocks_simulated")

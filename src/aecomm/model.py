@@ -33,9 +33,6 @@ from .metrics import CHUNK_BLOCKS, atomic_write
 
 CHECKPOINT_MAGIC = "aecomm checkpoint"
 CHECKPOINT_VERSION = 1
-# receive fills its (B, M) output in row tiles of at most this many
-# elements, so each tile's temporaries stay in cache
-RECEIVE_TILE_ELEMENTS = nn.TILE_ELEMENTS
 # build_model redraws dead transmitter columns at most this many times
 MAX_INIT_REDRAWS = 100
 
@@ -106,7 +103,7 @@ class Autoencoder:
         # Tile sizes differ by at most one row. A short last tile would be
         # wrong: BLAS multiplies one row, or a few, with other kernels that
         # round differently, so its rows would not match the untiled product.
-        tiles = -(-B // max(1, RECEIVE_TILE_ELEMENTS // self.M))
+        tiles = -(-B // max(1, nn.TILE_ELEMENTS // self.M))
         for i in range(tiles):
             t = slice(i * B // tiles, (i + 1) * B // tiles)
             h = nn.dense(yb[t], self.W3, self.b3, nn.relu)
@@ -276,90 +273,59 @@ def _format_floats(row) -> str:
     return " ".join(format(v, ".17g") for v in row)
 
 
-def _architecture_lines(M: int, n: int) -> list[str]:
-    """The [architecture] block: the fixed topology, spelled out for (M, n)."""
-    return [
-        f"n = {n}",
-        f"layer = dense relu {M} {M}",
-        f"layer = dense linear {n} {M}",
-        f"layer = power_norm {n}",
-        f"layer = dense relu {M} {n}",
-        f"layer = dense softmax {M} {M}",
-        "tx_layers = 3",
-    ]
-
-
-def _dense_pairs(model: Autoencoder) -> list:
-    """(weights, bias) views of the four dense layers, in checkpoint order."""
+def _checkpoint_lines(model: Autoencoder, values: bool = True) -> list:
+    """A checkpoint's lines in file order: what save_checkpoint writes and
+    the layout load_checkpoint checks a file against. With values=False each
+    parameter row is None."""
+    M, n = model.M, model.n
+    lines = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}", "[codebook]"]
+    lines += [f"{key} = {value}" for key, value in model.codebook.manifest().items()]
+    lines += ["[architecture]", f"n = {n}", f"layer = dense relu {M} {M}",
+              f"layer = dense linear {n} {M}", f"layer = power_norm {n}",
+              f"layer = dense relu {M} {n}", f"layer = dense softmax {M} {M}",
+              "tx_layers = 3", "[training]",
+              "config = " + json.dumps(model.training_summary, sort_keys=True),
+              "[parameters]"]
     params = model.params()
-    return list(zip(params[0::2], params[1::2]))
+    for idx, (weights, bias) in enumerate(zip(params[0::2], params[1::2])):
+        lines.append(f"weights {idx} {weights.shape[0]} {weights.shape[1]}")
+        lines += [_format_floats(row) if values else None for row in weights]
+        lines.append(f"bias {idx} {bias.shape[0]}")
+        lines.append(_format_floats(bias) if values else None)
+    lines.append("[end]")
+    return lines
 
 
 def save_checkpoint(model: Autoencoder, path) -> None:
     """Write a versioned text checkpoint; reload is bit-exact."""
-    cb = model.codebook
-    if cb.selection.startswith("subset"):
+    if model.codebook.selection.startswith("subset"):
         raise ConfigError("subset codebooks are runtime state, not checkpointable")
-    lines = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}"]
-    lines.append("[codebook]")
-    for key, value in cb.manifest().items():
-        lines.append(f"{key} = {value}")
-    lines.append("[architecture]")
-    lines.extend(_architecture_lines(model.M, model.n))
-    lines.append("[training]")
-    lines.append("config = " + json.dumps(model.training_summary, sort_keys=True))
-    lines.append("[parameters]")
-    for idx, (weights, bias) in enumerate(_dense_pairs(model)):
-        lines.append(f"weights {idx} {weights.shape[0]} {weights.shape[1]}")
-        lines.extend(_format_floats(row) for row in weights)
-        lines.append(f"bias {idx} {bias.shape[0]}")
-        lines.append(_format_floats(bias))
-    lines.append("[end]")
     with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(_checkpoint_lines(model)) + "\n")
 
 
-class _CheckpointReader:
-    def __init__(self, lines, path):
-        self.lines = lines
-        self.pos = 0
-        self.path = path
-        self.section = "header"
+def _line(lines: list[str], i: int, section: str, path) -> str:
+    if i >= len(lines):
+        raise CheckpointTruncatedError(f"{path}: file ends inside section [{section}]")
+    return lines[i]
 
-    def next_line(self) -> str:
-        if self.pos >= len(self.lines):
-            raise CheckpointTruncatedError(
-                f"{self.path}: file ends inside section [{self.section}]"
-            )
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
 
-    def expect_section(self, name: str) -> None:
-        line = self.next_line()
-        if line != f"[{name}]":
-            raise CheckpointTruncatedError(
-                f"{self.path}: expected section [{name}], found {line!r}"
-            )
-        self.section = name
-
-    def key_value(self, key: str) -> str:
-        line = self.next_line()
-        prefix = f"{key} = "
-        if not line.startswith(prefix):
-            raise CheckpointTruncatedError(
-                f"{self.path}: expected '{key} = ...' in [{self.section}], found {line!r}"
-            )
-        return line[len(prefix):]
+def _key(lines: list[str], i: int, key: str, section: str, path) -> str:
+    """The value of line i, which must read `key = value`."""
+    line = _line(lines, i, section, path)
+    if not line.startswith(f"{key} = "):
+        raise CheckpointTruncatedError(
+            f"{path}: expected '{key} = ...' in [{section}], found {line!r}")
+    return line[len(key) + 3:]
 
 
 def load_checkpoint(path) -> Autoencoder:
-    """Restore a model, refusing any file that is not a well-formed checkpoint."""
+    """Restore a model, refusing any file whose lines up to [end] are not
+    the lines save_checkpoint writes for the model they describe; what
+    follows [end] is ignored."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    reader = _CheckpointReader(lines, path)
-
-    header = reader.next_line()
+    header = _line(lines, 0, "header", path)
     if not header.startswith(CHECKPOINT_MAGIC):
         raise CheckpointVersionError(f"{path}: not an aecomm checkpoint")
     version = header[len(CHECKPOINT_MAGIC):].strip()
@@ -367,64 +333,48 @@ def load_checkpoint(path) -> Autoencoder:
         raise CheckpointVersionError(
             f"{path}: format version {version} unsupported (expected {CHECKPOINT_VERSION})"
         )
+    M, m, selection, seed_text = (_key(lines, i, key, "codebook", path) for i, key
+                                  in enumerate(("M", "m", "selection", "selection_seed"), 2))
+    n = int(_key(lines, 8, "n", "architecture", path))
+    codebook = build_gdr(int(M), int(m), selection=selection,
+                         selection_seed=None if seed_text == "None" else int(seed_text))
+    model = Autoencoder(codebook, n)
 
-    reader.expect_section("codebook")
-    M = int(reader.key_value("M"))
-    m = int(reader.key_value("m"))
-    selection = reader.key_value("selection")
-    seed_text = reader.key_value("selection_seed")
-    selection_seed = None if seed_text == "None" else int(seed_text)
-    bits = int(reader.key_value("bits_per_message"))
-    codebook = build_gdr(M, m, selection=selection, selection_seed=selection_seed)
-    if codebook.bits_per_message != bits:
-        raise CheckpointDimensionError(
-            f"{path}: rebuilt codebook has {codebook.bits_per_message} bits/message, "
-            f"checkpoint declares {bits}"
-        )
-
-    reader.expect_section("architecture")
-    n = int(reader.key_value("n"))
-    expected = _architecture_lines(M, n)
-    block = [f"n = {n}"] + [reader.next_line() for _ in expected[1:]]
-    if block != expected:
-        raise CheckpointDimensionError(
-            f"{path}: [architecture] is not the fixed autoencoder topology for M={M}, n={n}"
-        )
-
-    reader.expect_section("training")
-    training_summary = json.loads(reader.key_value("config"))
-
-    reader.expect_section("parameters")
-    model = Autoencoder(codebook, n, training_summary=training_summary)
-    for idx, (W, b) in enumerate(_dense_pairs(model)):
-        out_dim, in_dim = W.shape
-        head = reader.next_line().split()
-        if head[:2] != ["weights", str(idx)]:
-            raise CheckpointTruncatedError(f"{path}: expected weights {idx}, found {head}")
-        if [int(head[2]), int(head[3])] != [out_dim, in_dim]:
+    layout = _checkpoint_lines(model, values=False)
+    params = enumerate(model.params())
+    section, i = "header", 0
+    while i < len(layout):
+        want = layout[i]
+        if want is None:
+            # the rows of the next parameter array, (out, in) weights or a
+            # bias as one (1, out) row, parsed in one call
+            k, param = next(params)
+            rows = param.reshape(-1, param.shape[-1])
+            _line(lines, i + len(rows) - 1, section, path)
+            try:
+                values = np.array([line.split() for line in lines[i:i + len(rows)]],
+                                  dtype=np.float64)
+            except ValueError:
+                values = None
+            if values is None or values.shape != rows.shape:
+                raise CheckpointDimensionError(
+                    f"{path}: the {('weights', 'bias')[k % 2]} of layer {k // 2} from "
+                    f"line {i + 1} do not parse to shape {param.shape}")
+            if not np.all(np.isfinite(values)):
+                raise DomainError(f"{path}: layer {k // 2} has non-finite parameters")
+            rows[...] = values
+            i += len(rows)
+            continue
+        got = _line(lines, i, section, path)
+        if want.startswith("["):
+            if got != want:
+                raise CheckpointTruncatedError(
+                    f"{path}: expected section {want}, found {got!r}")
+            section = want[1:-1]
+        elif want.startswith("config = "):
+            model.training_summary = json.loads(_key(lines, i, "config", section, path))
+        elif got != want:
             raise CheckpointDimensionError(
-                f"{path}: weights {idx} declared {head[2]}x{head[3]}, "
-                f"architecture says {out_dim}x{in_dim}"
-            )
-        rows = [reader.next_line().split() for _ in range(out_dim)]
-        weights = np.array(rows, dtype=np.float64)
-        if weights.shape != (out_dim, in_dim):
-            raise CheckpointDimensionError(
-                f"{path}: weights {idx} matrix is {weights.shape}, "
-                f"expected {(out_dim, in_dim)}"
-            )
-        head = reader.next_line().split()
-        if head[:2] != ["bias", str(idx)]:
-            raise CheckpointTruncatedError(f"{path}: expected bias {idx}, found {head}")
-        bias = np.array(reader.next_line().split(), dtype=np.float64)
-        if bias.shape != (out_dim,):
-            raise CheckpointDimensionError(
-                f"{path}: bias {idx} has length {bias.shape[0]}, expected {out_dim}"
-            )
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
-            raise DomainError(f"{path}: layer {idx} has non-finite parameters")
-        W[...] = weights
-        b[...] = bias
-    if reader.next_line() != "[end]":
-        raise CheckpointTruncatedError(f"{path}: missing [end] marker")
+                f"{path}: line {i + 1} reads {got!r}, expected {want!r}")
+        i += 1
     return model

@@ -77,6 +77,13 @@ def test_select_rejects_too_few_entries():
         select_vectors(np.zeros((8, 8)), threshold=1.0)
 
 
+def test_select_rejects_nan_threshold():
+    # a NaN threshold names no MSE level: no tier would meet it, which
+    # would read as an outage
+    with pytest.raises(DomainError, match="NaN"):
+        select_vectors(np.zeros(64), threshold=np.nan)
+
+
 def test_probe_requires_positive_k():
     model = build_model(build_onehot(64), 7, seed=0)
     spec = ChannelSpec.from_snr_db(7, 6 / 7, 5.0)
@@ -185,7 +192,6 @@ def test_selected_codebook_maps_back_to_parent():
         probe_mses=np.zeros(64),
         feedback_labels=np.array([9, 2, 33, 17]),
         M1=4,
-        probes_per_vector=1,
         outage=False,
     )
     sub, parents = selected_codebook(model, state)

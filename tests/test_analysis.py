@@ -49,11 +49,6 @@ def test_linearization_rejects_near_zero_components():
         build_F(np.ones(3), taylor_order=0)
 
 
-def test_negative_reference_blocks_all_active_form():
-    assert not build_F(np.array([1.0, -2.0, 1.5])).all_active
-    assert build_F(np.array([1.0, 2.0, 1.5])).all_active
-
-
 def test_achievable_rate_gain_near_published_value():
     high = achievable_rate(16, 6, 7, 20.0)
     low = achievable_rate(16, 1, 7, 20.0)
@@ -127,6 +122,36 @@ def test_decomposition_refuses_what_build_F_refuses(model_zoo):
     model, _ = model_zoo(4, 1, 10.0, seed=2)
     with pytest.raises(DomainError, match="taylor order must be >= 1, got 0"):
         mse_decomposition(model, None, 0.01, 100, spawn_rng(9, 0), taylor_order=0)
+
+
+def _per_entry_terms(model, sigma2, taylor_order):
+    """The signal and noise terms as build_F gives them, one entry at a time."""
+    entries = model.codebook.entries
+    u0 = model.transmit(entries) @ model.W3.T + model.b3
+    row_norms2 = np.sum(model.W3 ** 2, axis=1)
+    signal, noise = [], []
+    for i in np.nonzero(np.all(np.abs(u0) >= 1e-3, axis=1) & np.all(u0 > 0, axis=1))[0]:
+        f = build_F(u0[i], taylor_order).f_diag
+        signal.append(np.sum((f * u0[i] - entries[i]) ** 2))
+        noise.append(np.sum(f ** 2 * row_norms2) * sigma2)
+    return float(np.mean(signal)), float(np.mean(noise))
+
+
+def test_decomposition_terms_equal_per_entry_build_F_bit_for_bit(model_zoo):
+    from aecomm.codebooks import build_gdr
+    from aecomm.model import build_model
+
+    trained, _ = model_zoo(4, 1, 10.0, seed=2)
+    # a positive receiver bias keeps many GDR entries all-active
+    gdr = build_model(build_gdr(8, 4), 7, seed=1)
+    gdr.b3[...] = np.random.default_rng(3).uniform(0.5, 2.0, gdr.b3.shape)
+    for model in (trained, gdr):
+        for sigma2 in (0.0, 0.01, 0.37):
+            for order in (1, 3, 20):
+                out = mse_decomposition(model, None, sigma2, 10, spawn_rng(11, 0),
+                                        taylor_order=order)
+                assert (repr((out["signal_term"], out["noise_term"]))
+                        == repr(_per_entry_terms(model, sigma2, order)))
 
 
 def _reference_simulated_mse(model, sigma2, samples, rng):

@@ -93,7 +93,7 @@ def test_data_rates_for_seven_channel_uses():
 def test_decode_recovers_clean_entries():
     for cb in (build_onehot(16), build_gdr(8, 2), build_gdr(8, 3)):
         ids = np.arange(len(cb))
-        np.testing.assert_array_equal(decode_batch(cb.encode(ids), cb), ids)
+        np.testing.assert_array_equal(decode_batch(cb.entries[ids], cb), ids)
 
 
 def test_decode_tie_goes_to_lower_index():
@@ -223,14 +223,6 @@ def test_mask_table_agrees_with_the_sorted_masks():
             pos = np.minimum(np.searchsorted(cb._masks_sorted, masks), len(cb) - 1)
             expected = np.where(cb._masks_sorted[pos] == masks, cb._ids_by_mask[pos], -1)
             np.testing.assert_array_equal(cb._id_by_mask, expected)
-
-
-def test_encode_rejects_out_of_range_ids():
-    cb = build_onehot(4)
-    with pytest.raises(DomainError):
-        cb.encode(4)
-    with pytest.raises(DomainError):
-        cb.encode([-1])
 
 
 def test_subset_codebook_keeps_parent_ids():

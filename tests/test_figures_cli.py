@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aecomm import cli, figures, metrics
+from aecomm.codebooks import build_gdr
 from aecomm.errors import ConfigError, DomainError, UnknownRecipeError
 from aecomm.figures import RecipeContext, available_recipes, derive_seed, run_figure
-from aecomm.model import load_checkpoint, save_checkpoint
+from aecomm.model import build_model, load_checkpoint, save_checkpoint
 
 ALL_RECIPES = [
     "corrections_fig1", "corrections_fig2", "fig10", "fig11", "fig12", "fig13",
@@ -410,6 +411,25 @@ class TestCliWorkflow:
         capsys.readouterr()
         assert run_cli("adaptive", "--checkpoint", ckpt, "--snr", "0") == 2
         assert "error: DomainError:" in capsys.readouterr().err
+
+    def test_adaptive_nan_threshold_is_one_line_error(self, capsys, tmp_path):
+        ckpt = tmp_path / "gdr.ckpt"
+        save_checkpoint(build_model(build_gdr(8, 4), 7, seed=0), str(ckpt))
+        out = tmp_path / "adaptive.csv"
+        assert run_cli("adaptive", "--checkpoint", ckpt, "--snr", "0",
+                       "--threshold", "nan", "--blocks", 100, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_malformed_checkpoint_is_one_line_error(self, capsys, tmp_path):
+        ckpt = tmp_path / "m4.ckpt"
+        save_checkpoint(build_model(build_gdr(4, 1), 7, seed=0), str(ckpt))
+        ckpt.write_text(ckpt.read_text().replace("weights 0 4 4\n", "weights 0 4\n"))
+        assert run_cli("evaluate", "--checkpoint", ckpt, "--snr", "0",
+                       "--out", tmp_path / "e.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: CheckpointDimensionError: ") and err.count("\n") == 1
 
     def test_analyze_subcommand(self, model_zoo, capsys, tmp_path):
         model, _ = model_zoo(4, 1, 10.0, seed=2)

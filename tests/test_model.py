@@ -14,6 +14,7 @@ from aecomm.channel import snr_db_to_sigma2
 from aecomm.codebooks import build_gdr, build_onehot
 from aecomm.errors import (
     CheckpointDimensionError,
+    CheckpointError,
     CheckpointTruncatedError,
     CheckpointVersionError,
     ConfigError,
@@ -23,7 +24,6 @@ from aecomm.errors import (
     TrainingDivergedError,
 )
 from aecomm.model import (
-    RECEIVE_TILE_ELEMENTS,
     Autoencoder,
     TrainingConfig,
     build_model,
@@ -288,8 +288,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     np.testing.assert_array_equal(loaded.receive(y), model.receive(y))
     ids = np.arange(8)
     np.testing.assert_array_equal(
-        loaded.transmit(loaded.codebook.encode(ids)),
-        model.transmit(model.codebook.encode(ids)),
+        loaded.transmit(loaded.codebook.entries[ids]),
+        model.transmit(model.codebook.entries[ids]),
     )
 
 
@@ -366,6 +366,59 @@ def test_checkpoint_refuses_edited_architecture(tmp_path):
             load_checkpoint(bad)
 
 
+def _line_mutations(lines):
+    """Each line deleted, duplicated, replaced, cut at, or short of its last word."""
+    for i, line in enumerate(lines):
+        yield i, "delete", lines[:i] + lines[i + 1:]
+        yield i, "duplicate", lines[:i + 1] + lines[i:]
+        yield i, "garbage", lines[:i] + ["garbage"] + lines[i + 1:]
+        yield i, "cut", lines[:i]
+        yield i, "drop word", lines[:i] + [" ".join(line.split()[:-1])] + lines[i + 1:]
+
+
+def test_checkpoint_refuses_every_single_line_mutation(tmp_path):
+    # the loader checks a file against the lines save_checkpoint writes, so
+    # a malformed file raises a CheckpointError, never a bare numpy error;
+    # only text after [end] is ignored
+    model = build_model(build_onehot(4), 7, seed=0)
+    model.training_summary = _quick_config().summary()
+    path = tmp_path / "m4.ckpt"
+    save_checkpoint(model, path)
+    lines = path.read_text().splitlines()
+    end = lines.index("[end]")
+    bad = tmp_path / "bad.ckpt"
+    for i, kind, mutated in _line_mutations(lines):
+        bad.write_text("".join(line + "\n" for line in mutated))
+        if mutated[:end + 1] == lines[:end + 1]:
+            assert load_checkpoint(bad).params_checksum() == model.params_checksum()
+            continue
+        # a config line that is not JSON is refused by the JSON parser
+        errors = ((CheckpointError, json.JSONDecodeError)
+                  if lines[i].startswith("config") else CheckpointError)
+        try:
+            load_checkpoint(bad)
+        except errors:
+            continue
+        pytest.fail(f"{kind} of line {i + 1} ({lines[i]!r}) loaded")
+    bad.write_text("")
+    with pytest.raises(CheckpointTruncatedError, match="section"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_mismatch_names_the_line_and_both_texts(tmp_path):
+    model = build_model(build_onehot(4), 7, seed=0)
+    path = tmp_path / "m4.ckpt"
+    save_checkpoint(model, path)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_text(path.read_text().replace("bias 0 4\n", "bias 0\n", 1))
+    with pytest.raises(CheckpointDimensionError,
+                       match=r"line 24 reads 'bias 0', expected 'bias 0 4'"):
+        load_checkpoint(bad)
+    bad.write_text(path.read_text().replace("[training]", "[train]", 1))
+    with pytest.raises(CheckpointTruncatedError, match=r"expected section \[training\]"):
+        load_checkpoint(bad)
+
+
 def test_checkpoint_refuses_runtime_subset_codebooks(tmp_path):
     from aecomm.codebooks import subset_codebook
 
@@ -379,7 +432,7 @@ def test_checkpoint_refuses_runtime_subset_codebooks(tmp_path):
 def test_end_to_end_noiseless_round_trip(model_zoo):
     model, _ = model_zoo(4, 1, 10.0, seed=2)
     ids = np.arange(4)
-    p = model.receive(model.transmit(model.codebook.encode(ids)))
+    p = model.receive(model.transmit(model.codebook.entries[ids]))
     assert np.all(np.argmax(p, axis=1) == ids)
 
 
@@ -400,7 +453,7 @@ def test_tiled_receive_equals_untiled_product_bit_for_bit(codebook):
     rng = np.random.default_rng(8)
     model.b3[...] = rng.uniform(-0.5, 0.5, model.b3.shape)
     model.b4[...] = rng.uniform(-0.5, 0.5, model.b4.shape)
-    rows = RECEIVE_TILE_ELEMENTS // model.M
+    rows = nn.TILE_ELEMENTS // model.M
     for B in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3):
         y = 2.0 * rng.standard_normal((B, 7))
         p = model.receive(y)

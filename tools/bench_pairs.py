@@ -13,8 +13,8 @@ linear quartiles, the median change in percent and the parent's
 interquartile range. The record is written to the current directory.
 
 --stages also times, on each side, in processes pinned to one CPU with one
-BLAS thread: receive (into a kept output array where the checkout's
-receive takes out=, as estimate_bler calls it), decode_batch and
+BLAS thread: receive (into a kept output array, as estimate_bler calls
+it), decode_batch and
 estimate_bler on one 65,536-block chunk per perfbench fixture, decode_batch
 on a 4-entry subset of gdr_m8x4 (what an adaptive point decodes),
 probe_mses at K=100 on the two 64-entry fixtures, the first and second
@@ -50,7 +50,7 @@ FIRST_CALL_PROCESSES = 15
 
 # run inside a checkout; prints per-fixture timings as one JSON object
 STAGE_SNIPPET = r"""
-import inspect, json, os, statistics, sys, time
+import json, os, statistics, sys, time
 if hasattr(os, "sched_setaffinity"):
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 sys.path.insert(0, "src")
@@ -79,11 +79,8 @@ for name in ("onehot_m16", "onehot_m64", "gdr_m8x4"):
     spec = ChannelSpec.from_ebn0(m.n, data_rate(m.codebook, m.n), 4.0)
     ids = np.random.default_rng(0).integers(0, len(m.codebook), size=CHUNK)
     y = awgn(m.transmit(m.codebook.entries)[ids], spec.sigma2, np.random.default_rng(1))
-    if "out" in inspect.signature(m.receive).parameters:
-        kept = np.empty((CHUNK, m.M))
-        receive = median_ms(lambda: m.receive(y, out=kept), 15)
-    else:
-        receive = median_ms(lambda: m.receive(y), 15)
+    kept = np.empty((CHUNK, m.M))
+    receive = median_ms(lambda: m.receive(y, out=kept), 15)
     p = m.receive(y)
     decode = median_ms(lambda: decode_batch(p, m.codebook), 15)
     bler = median_ms(lambda: estimate_bler(m, None, spec, CHUNK, spawn_rng(0)), 7)
@@ -361,8 +358,7 @@ def main(argv=None) -> int:
     }
     if args.stages:
         record["chunk_stages_ms"] = {
-            "how": f"median of 15 receive calls (into one kept output array "
-                   "where receive takes out=, else a fresh output each), 15 "
+            "how": f"median of 15 receive calls (into one kept output array), 15 "
                    "decode_batch calls on the received probabilities and 7 "
                    f"estimate_bler calls on one {CHUNK:,}-block chunk at Eb/N0 "
                    "4 dB, of 15 decode_batch calls on a chunk sent from and decoded "
