@@ -181,6 +181,10 @@ class TrainingConfig:
         for name in ("epochs", "batch_size", "train_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        # NaN, zero and negative rates name no descent step
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
     def summary(self) -> dict:
         d = {

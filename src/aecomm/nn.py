@@ -10,7 +10,7 @@ at once.
 
 from __future__ import annotations
 
-from math import prod
+from math import prod, sqrt
 
 import numpy as np
 
@@ -116,13 +116,21 @@ def dense(x: np.ndarray, W: np.ndarray, b: np.ndarray, activation=None,
     return z
 
 
+def _affine(x: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x @ W.T + b written into out, through np.dot (backward_pass)."""
+    z = np.dot(x, W.T, out=out)
+    z += b
+    return z
+
+
 def _row_norms(x: np.ndarray, out=None, squares=None) -> np.ndarray:
     """Per-row l2 norms, shaped (B, 1), computed as np.linalg.norm does; a dead
     transmitter output is refused. out and squares, (B, 1) and x-shaped,
     receive the norms and the squared entries."""
     squares = np.multiply(x, x, out=squares)
     norms = np.sqrt(np.add.reduce(squares, axis=1, keepdims=True, out=out), out=out)
-    if np.any(norms < DEGENERATE_NORM_FLOOR):
+    # fmin skips NaN, as a comparison does: a NaN row alone is not refused
+    if np.fmin.reduce(norms, axis=None, initial=np.inf) < DEGENERATE_NORM_FLOOR:
         raise DegenerateInputError(
             f"vector norm below {DEGENERATE_NORM_FLOOR:g}; transmitter output is dead"
         )
@@ -186,33 +194,40 @@ def backward_pass(params, s: np.ndarray, noise, work: Workspace | None = None):
         )
     gW1, gb1, gW2, gb2, gW3, gb3, gW4, gb4 = work.grads
 
-    h1 = dense(s, W1, b1, relu, out=work.h1)
-    z2 = dense(h1, W2, b2, out=work.z2)
+    # dense layers as in dense(), with np.dot: the same dgemm as np.matmul,
+    # reached through fewer numpy layers
+    h1 = relu(_affine(s, W1, b1, work.h1))
+    z2 = _affine(h1, W2, b2, work.z2)
     norms = _row_norms(z2, out=work.norms, squares=work.tn)
-    scale = np.divide(np.sqrt(n), norms, out=work.scale)
+    scale = np.divide(sqrt(n), norms, out=work.scale)
     y = np.multiply(scale, z2, out=work.y)
     y += noise
-    h3 = dense(y, W3, b3, relu, out=work.h3)
-    p = dense(h3, W4, b4, softmax, out=work.p)
+    h3 = relu(_affine(y, W3, b3, work.h3))
+    # softmax with its row max and row sum in work.col; a max is exact in
+    # any order, so this is softmax()'s result
+    p = _affine(h3, W4, b4, work.p)
+    p -= np.maximum.reduce(p, axis=1, keepdims=True, out=work.col)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=1, keepdims=True, out=work.col)
 
-    d = np.subtract(s, p, out=work.tM)
-    d *= d
-    loss = float(np.add.reduce(np.add.reduce(d, axis=1, out=work.row)) / B)
+    # (p - s)^2 is (s - p)^2 to the bit; 2g and B/2 are exact, so g / (B/2)
+    # rounds 2g / B once, as the loss gradient 2(p - s)/B asks
     g = np.subtract(p, s, out=work.g)
-    g *= 2.0
-    g /= B
+    loss = float(np.add.reduce(np.add.reduce(np.multiply(g, g, out=work.tM), axis=1,
+                                             out=work.row)) / B)
+    g /= B / 2.0
     # softmax Jacobian J = diag(p) - p p^T, applied row-wise
     g -= np.add.reduce(np.multiply(g, p, out=work.tM), axis=1, keepdims=True,
                         out=work.col)
     g *= p
-    np.matmul(g.T, h3, out=gW4)
+    np.dot(g.T, h3, out=gW4)
     np.add.reduce(g, axis=0, out=gb4)
-    g = np.matmul(g, W4, out=work.gM)
+    g = np.dot(g, W4, out=work.gM)
     # h > 0 exactly where z > 0, NaN included
     g *= np.greater(h3, 0.0, out=work.mask)
-    np.matmul(g.T, y, out=gW3)
+    np.dot(g.T, y, out=gW3)
     np.add.reduce(g, axis=0, out=gb3)
-    g = np.matmul(g, W3, out=work.gn)
+    g = np.dot(g, W3, out=work.gn)
     # the noise passes the gradient through; d/dz of sqrt(n) z/||z|| is
     # scale * (g - z (z.g)/||z||^2)
     proj = np.add.reduce(np.multiply(z2, g, out=work.tn), axis=1, keepdims=True,
@@ -220,11 +235,11 @@ def backward_pass(params, s: np.ndarray, noise, work: Workspace | None = None):
     proj /= np.multiply(norms, norms, out=work.norms)
     g -= np.multiply(z2, proj, out=work.tn)
     g *= scale
-    np.matmul(g.T, h1, out=gW2)
+    np.dot(g.T, h1, out=gW2)
     np.add.reduce(g, axis=0, out=gb2)
-    g = np.matmul(g, W2, out=work.g)
+    g = np.dot(g, W2, out=work.g)
     g *= np.greater(h1, 0.0, out=work.mask)
-    np.matmul(g.T, s, out=gW1)
+    np.dot(g.T, s, out=gW1)
     np.add.reduce(g, axis=0, out=gb1)
     return loss, work.grad, p
 

@@ -364,6 +364,15 @@ class TestCliWorkflow:
             assert capsys.readouterr().err == f"error: DomainError: {message}\n", argv
             assert not out.exists()
 
+    def test_learning_rate_that_names_no_step_is_a_one_line_error(self, capsys, tmp_path):
+        for rate in ("nan", "-0.001", "0"):
+            out = tmp_path / "t.ckpt"
+            assert run_cli("train", "--M", 4, "--epochs", 1, "--train-samples", 200,
+                           "--snr-db", 10, "--learning-rate", rate, "--out", out) == 2, rate
+            err = capsys.readouterr().err
+            assert err.startswith("error: ConfigError: learning_rate") and err.count("\n") == 1
+            assert list(tmp_path.iterdir()) == [], rate
+
     def test_infinite_snr_is_the_noiseless_point(self, tmp_path):
         ckpt = tmp_path / "m4.ckpt"
         assert run_cli("train", "--M", 4, "--epochs", 1, "--train-samples", 200,

@@ -5,6 +5,9 @@ from aecomm.codebooks import build_gdr, build_onehot
 from aecomm.errors import DegenerateInputError, ShapeError
 from aecomm.model import build_model
 from aecomm.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     DEGENERATE_NORM_FLOOR,
     AdamState,
     Workspace,
@@ -163,6 +166,27 @@ def test_power_normalize_degenerate_input():
         power_normalize(np.zeros(7))
     with pytest.raises(DegenerateInputError):
         power_normalize(np.full((3, 7), 1e-13))
+    # a dead row is refused next to a NaN row, whose NaN norm a plain row
+    # minimum (np.min) would return; a NaN row alone is not refused
+    x = np.ones((3, 7))
+    x[0] = 0.0
+    x[2, 4] = np.nan
+    with pytest.raises(DegenerateInputError):
+        power_normalize(x)
+    x[0] = 1.0
+    y = power_normalize(x)
+    assert np.isnan(y[2]).all() and np.isfinite(y[:2]).all()
+
+
+def test_backward_pass_refuses_a_dead_row_next_to_a_nan_row():
+    model = build_model(build_onehot(4), 7, seed=1)
+    model.W1[:, 0] = -1.0  # message 0 reaches no hidden unit: it transmits zeros
+    s = model.codebook.entries[[0, 1, 2]].copy()
+    s[2, 2] = np.nan
+    with pytest.raises(DegenerateInputError):
+        backward_pass(model.params(), s, 0.0)
+    loss, _, p = backward_pass(model.params(), s[1:], 0.0)
+    assert np.isnan(loss) and np.isnan(p[1]).all() and np.isfinite(p[0]).all()
 
 
 def test_power_norm_gradient_orthogonal_to_input():
@@ -355,6 +379,31 @@ def test_adam_converges_on_quadratic_bowl():
     for _ in range(5000):
         adam_step(state, theta, 2.0 * theta)
     assert np.all(np.abs(theta) < 1e-3)
+
+
+def reference_adam_step(theta, grad, m, v, t, learning_rate):
+    """Adam step t as Kingma & Ba write it, each moment a fresh array;
+    updates theta in place and returns the new moments. adam_step must give
+    its bits."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (grad * grad)
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    theta -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    return m, v
+
+
+def test_adam_step_equals_reference_bit_for_bit():
+    rng = np.random.default_rng(9)
+    theta = rng.standard_normal(300)
+    expected = theta.copy()
+    state = AdamState(theta.size, learning_rate=0.003)
+    m = v = np.zeros(theta.size)
+    for t in range(1, 21):
+        grad = rng.standard_normal(theta.size) * 10.0 ** rng.integers(-8, 3)
+        adam_step(state, theta, grad)
+        m, v = reference_adam_step(expected, grad, m, v, t, 0.003)
+        assert theta.tobytes() == expected.tobytes()
 
 
 def test_adam_rejects_mismatched_shapes():
