@@ -45,6 +45,11 @@ def _series(u: np.ndarray, order: int) -> np.ndarray:
     return total
 
 
+def _linearization(u: np.ndarray, order: int) -> np.ndarray:
+    # the diagonal of F for each reference activation along the last axis
+    return _series(u, order) / np.sum(np.exp(u), axis=-1, keepdims=True)
+
+
 def build_F(u, taylor_order: int = DEFAULT_TAYLOR_ORDER,
             u_min: float = DEFAULT_U_MIN) -> LinearizedReceiver:
     """Diagonal linearization of the softmax at reference activation u.
@@ -60,7 +65,7 @@ def build_F(u, taylor_order: int = DEFAULT_TAYLOR_ORDER,
     if small.size:
         i = int(small[0])
         raise SingularityError(i, float(u[i]), u_min)
-    return LinearizedReceiver(_series(u, taylor_order) / np.sum(np.exp(u)))
+    return LinearizedReceiver(_linearization(u, taylor_order))
 
 
 def achievable_rate(M: int, m: int, n: int, ebn0_db) -> np.ndarray:
@@ -104,7 +109,7 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
 
     # row k of f is build_F(u0[included[k]]).f_diag, with the same bits
     u_ref = u0[included]
-    f = _series(u_ref, taylor_order) / np.sum(np.exp(u_ref), axis=1, keepdims=True)
+    f = _linearization(u_ref, taylor_order)
     signal_term = float(np.mean(np.sum((f * u_ref - codebook.entries[included]) ** 2, axis=1)))
     noise_term = float(np.mean(np.sum(f ** 2 * np.sum(W_r ** 2, axis=1), axis=1) * sigma2))
 

@@ -49,7 +49,10 @@ def parse_axis(text: str) -> list[float]:
             raise ConfigError(f"axis step must be positive, got {step}")
         if stop < start:
             raise ConfigError(f"axis stop {stop} is below start {start}")
-        count = int((stop - start) / step + 1e-9) + 1
+        span = (stop - start) / step
+        if not math.isfinite(span):
+            raise ConfigError(f"axis step {step} is too small for {text!r}")
+        count = int(span + 1e-9) + 1
         return [start + i * step for i in range(count)]
     if "," in text:
         return _axis_floats([p for p in text.split(",") if p.strip()], text)
@@ -80,7 +83,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    default="lexicographic")
     p.add_argument("--selection-seed", type=int, default=None)
     p.add_argument("--snr-db", type=float, default=None, help="fixed training SNR")
-    p.add_argument("--snr-set", default=None,
+    p.add_argument("--snr-set", type=str, default=None,
                    help="comma list of training SNRs drawn per sample")
     p.add_argument("--epochs", type=int, default=150)
     p.add_argument("--batch-size", type=int, default=45)
@@ -93,8 +96,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "evaluate", help="sweep a trained model over an SNR axis")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--ebn0", default=None, help="Eb/N0 axis in dB")
-    p.add_argument("--snr", default=None, help="SNR axis in dB")
+    p.add_argument("--ebn0", type=str, default=None, help="Eb/N0 axis in dB")
+    p.add_argument("--snr", type=str, default=None, help="SNR axis in dB")
     p.add_argument("--blocks", type=int, default=100_000)
     p.add_argument("--scheme", default=None, help="label override for the CSV")
     p.add_argument("--out", default="evaluate.csv")
@@ -103,7 +106,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "adaptive", help="probe, select a subset, and evaluate it")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--snr", required=True, help="operating SNR axis in dB")
+    p.add_argument("--snr", type=str, required=True, help="operating SNR axis in dB")
     p.add_argument("--threshold", type=float, default=1e-4, help="MSE threshold")
     p.add_argument("--probes", type=int, default=1,
                    help="probes per entry; 1 is the published procedure, "
@@ -116,7 +119,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_common(p)
     p.add_argument("--scheme", default="all",
                    choices=("hamming_hd", "hamming_ml", "uncoded_bpsk", "all"))
-    p.add_argument("--ebn0", required=True, help="Eb/N0 axis in dB")
+    p.add_argument("--ebn0", type=str, required=True, help="Eb/N0 axis in dB")
     p.add_argument("--blocks", type=int, default=100_000)
     p.add_argument("--out", default="baseline.csv")
 
@@ -137,7 +140,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "analyze", help="linearized MSE decomposition of a model")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--sigma2", required=True, help="comma list of noise variances")
+    p.add_argument("--sigma2", type=str, required=True, help="comma list of noise variances")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--taylor-order", type=int, default=analysis.DEFAULT_TAYLOR_ORDER)
     p.add_argument("--u-min", type=float, default=analysis.DEFAULT_U_MIN)
@@ -146,10 +149,34 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value checked as the flag's text would be: a boolean for a
+    switch, else a string, or a number for a flag that converts its text,
+    passed through the flag's type and choices. The axis flags declare
+    type=str so that a config may give an axis as a number."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ConfigError(f"config field {key!r} must be true or false, got {value!r}")
+        return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (isinstance(value, str) or number and action.type):
+        raise ConfigError(f"config field {key!r} must be a string"
+                          f"{' or a number' if action.type else ''}, got {value!r}")
+    try:
+        value = action.type(str(value)) if action.type else value
+    except (TypeError, ValueError):
+        raise ConfigError(f"config field {key!r} has invalid value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config field {key!r} must be one of {list(action.choices)}, "
+                          f"got {value!r}")
+    return value
+
+
 def apply_config_file(parser, commands, argv: list[str]) -> argparse.Namespace:
     """Two-pass parse so a JSON config supplies defaults that flags override.
 
-    Config keys are the flag names with dashes replaced by underscores.
+    Config keys are the flag names with dashes replaced by underscores; each
+    value is checked before any work, as the flag's text would be.
     """
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
@@ -161,11 +188,12 @@ def apply_config_file(parser, commands, argv: list[str]) -> argparse.Namespace:
             raise ConfigError(f"config file {args.config} is not valid JSON: {e}")
     if not isinstance(config, dict):
         raise ConfigError(f"config file {args.config} must hold a JSON object")
-    known = set(vars(args))
+    actions = {a.dest: a for a in commands[args.command]._actions if a.dest != "help"}
     for key in config:
-        if key not in known:
+        if key not in actions:
             raise ConfigError(f"unknown config field {key!r} for command {args.command}")
-    commands[args.command].set_defaults(**config)
+    commands[args.command].set_defaults(
+        **{key: _config_value(actions[key], key, value) for key, value in config.items()})
     return parser.parse_args(argv)
 
 

@@ -15,7 +15,7 @@ from math import comb, log2
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 
 PAPER_VECTOR_SIZES = (4, 8, 16, 32, 64)
 
@@ -111,6 +111,8 @@ def build_gdr(M: int, m: int, selection: str = "lexicographic",
     default takes the lexicographically first ones, which makes m=1
     coincide with build_onehot; selection="random" draws them with the
     given seed instead (ids follow lexicographic order of the drawn sets).
+    A random selection needs a seed: without one the codebook could not be
+    rebuilt from a checkpoint.
     """
     if m < 1 or m > M // 2:
         raise DomainError(f"order m={m} outside [1, {M // 2}] for M={M}")
@@ -121,6 +123,9 @@ def build_gdr(M: int, m: int, selection: str = "lexicographic",
     if selection == "lexicographic":
         supports = list(itertools.islice(itertools.combinations(range(M), m), count))
     elif selection == "random":
+        if selection_seed is None:
+            raise ConfigError("selection='random' needs a selection_seed; without one "
+                              "the codebook cannot be rebuilt from a checkpoint")
         rng = np.random.default_rng(selection_seed)
         picked: set[int] = set()
         while len(picked) < count:

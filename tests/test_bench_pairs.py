@@ -1,0 +1,64 @@
+"""The paired-run tool's statistics, on synthetic runs: no benchmark runs."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import bench_pairs  # noqa: E402
+
+
+def _runs(metric, values):
+    return [{metric: v} for v in values]
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("11-15") == [11, 12, 13, 14, 15]
+    assert bench_pairs.parse_seeds("11,12,14") == [11, 12, 14]
+    assert bench_pairs.parse_seeds("3,7-9") == [3, 7, 8, 9]
+    assert bench_pairs.parse_seeds("5") == [5]
+
+
+def test_gated_summary_counts_wins_and_ties_for_neither_side():
+    parent = _runs("pass_cost", [4.0, 1.0, 2.0, 3.0, 5.0])
+    change = _runs("pass_cost", [3.0, 1.0, 2.5, 3.0, 4.0])
+    s = bench_pairs.summarize(parent, change, {"pass_cost": "lower"})["pass_cost"]
+    assert s["pairs"] == 5
+    assert (s["change_wins"], s["parent_wins"]) == (2, 1)
+    assert s["parent_q1_median_q3"] == [2.0, 3.0, 4.0]
+    assert s["change_q1_median_q3"] == [2.5, 3.0, 3.0]
+    assert s["parent_iqr"] == 2.0
+    assert s["median_change_pct"] == 0.0
+
+
+def test_layer_summary_quartiles_are_linear_and_follow_the_better_direction():
+    parent = _runs("model.receive.rows_per_call", [10.0, 20.0, 30.0, 40.0])
+    change = _runs("model.receive.rows_per_call", [12.0, 18.0, 33.0, 40.0])
+    s = bench_pairs.summarize(parent, change, {"model.receive.rows_per_call": "higher"})
+    s = s["model.receive.rows_per_call"]
+    # numpy linear percentiles of 10, 20, 30, 40: 17.5, 25, 32.5
+    assert s["parent_q1_median_q3"] == [17.5, 25.0, 32.5]
+    assert s["parent_iqr"] == 15.0
+    assert s["change_q1_median_q3"] == [16.5, 25.5, 34.75]
+    assert s["median_change_pct"] == 2.0
+    # higher is better: the change wins 12 > 10 and 33 > 30; 40 ties
+    assert (s["change_wins"], s["parent_wins"]) == (2, 1)
+
+
+def test_layer_metric_reading_zero_on_every_run_is_dropped():
+    parent = [{"nn.backward_pass.self_s": 0.0, "channel.awgn.self_s": 0.0},
+              {"nn.backward_pass.self_s": 0.0, "channel.awgn.self_s": 0.12}]
+    change = [{"nn.backward_pass.self_s": 0.0, "channel.awgn.self_s": 0.11},
+              {"nn.backward_pass.self_s": 0.0, "channel.awgn.self_s": 0.13}]
+    s = bench_pairs.summarize(parent, change, {"nn.backward_pass.self_s": "lower",
+                                               "channel.awgn.self_s": "lower"})
+    assert list(s) == ["channel.awgn.self_s"]
+    assert s["channel.awgn.self_s"]["parent_q1_median_q3"][1] == pytest.approx(0.06)
+
+
+def test_median_change_is_none_when_the_parent_median_is_zero():
+    parent = _runs("trace.overhead_s", [-1.0, 0.0, 1.0])
+    change = _runs("trace.overhead_s", [0.5, 0.5, 0.5])
+    s = bench_pairs.summarize(parent, change, {"trace.overhead_s": "lower"})
+    assert s["trace.overhead_s"]["median_change_pct"] is None

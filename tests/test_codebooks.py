@@ -15,7 +15,7 @@ from aecomm.codebooks import (
     gray_bit_errors,
     subset_codebook,
 )
-from aecomm.errors import DomainError, ShapeError
+from aecomm.errors import ConfigError, DomainError, ShapeError
 
 
 def test_onehot_entries_are_identity_rows():
@@ -68,6 +68,12 @@ def test_gdr_order_bounds():
         build_gdr(8, 5)  # m must not exceed M/2
     with pytest.raises(DomainError):
         build_gdr(8, 2, selection="fancy")
+
+
+def test_gdr_random_selection_needs_a_seed():
+    # a seedless draw could not be rebuilt when its checkpoint loads
+    with pytest.raises(ConfigError, match="selection_seed"):
+        build_gdr(8, 3, selection="random")
 
 
 def test_gdr_random_selection_is_seeded():

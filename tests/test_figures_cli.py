@@ -207,6 +207,8 @@ class TestParseAxis:
             cli.parse_axis("0:4:0")
         with pytest.raises(ConfigError, match="below start"):
             cli.parse_axis("5:1:1")
+        with pytest.raises(ConfigError, match="too small"):
+            cli.parse_axis("0:1:1e-320")
         with pytest.raises(ValueError):
             cli.parse_axis("a:b:c")
 
@@ -364,6 +366,24 @@ class TestCliWorkflow:
             assert capsys.readouterr().err == f"error: DomainError: {message}\n", argv
             assert not out.exists()
 
+    def test_seedless_random_selection_is_a_one_line_error(self, capsys, tmp_path):
+        out = tmp_path / "gdr.ckpt"
+        assert run_cli("train", "--codebook", "gdr", "--M", 8, "--m", 3,
+                       "--selection", "random", "--epochs", 1, "--train-samples", 200,
+                       "--snr-db", 10, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert "selection_seed" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_axis_step_too_small_to_count_is_a_one_line_error(self, capsys, tmp_path):
+        out = tmp_path / "baseline.csv"
+        assert run_cli("baseline", "--ebn0", "0:1:1e-320", "--blocks", 100,
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: axis step") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_learning_rate_that_names_no_step_is_a_one_line_error(self, capsys, tmp_path):
         for rate in ("nan", "-0.001", "0"):
             out = tmp_path / "t.ckpt"
@@ -482,6 +502,32 @@ class TestConfigFile:
         assert run_cli("evaluate", "--config", cfg, "--checkpoint", "x",
                        "--ebn0", "0") == 2
         assert "'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, key", [({"blocks": 1.5}, "blocks"),
+                                              ({"blocks": [100]}, "blocks"),
+                                              ({"out": 5}, "out"),
+                                              ({"scheme": "bogus"}, "scheme"),
+                                              ({"blocks": True}, "blocks")])
+    def test_config_value_the_flag_would_refuse_is_a_one_line_error(
+            self, capsys, tmp_path, monkeypatch, payload, key):
+        monkeypatch.chdir(tmp_path)
+        cfg = self.write_config(tmp_path, payload)
+        assert run_cli("baseline", "--config", cfg, "--ebn0", "0", "--blocks", 100) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigError: config field {key!r}")
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("argv, payload, want", [
+        (("baseline", "--ebn0", "0"), {"blocks": "100"}, {"blocks": 100}),
+        (("baseline", "--ebn0", "0"), {"blocks": 100}, {"blocks": 100}),
+        (("evaluate", "--checkpoint", "x"), {"ebn0": -2}, {"ebn0": "-2"}),
+        (("figure", "fig4"), {"paper_scale": True}, {"paper_scale": True}),
+    ])
+    def test_config_value_the_flag_would_take(self, tmp_path, argv, payload, want):
+        cfg = self.write_config(tmp_path, payload)
+        args = cli.apply_config_file(*cli.build_parser(), [*argv, "--config", str(cfg)])
+        assert {k: getattr(args, k) for k in want} == want
 
     def test_invalid_json_is_reported(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -347,6 +347,15 @@ def test_checkpoint_round_trip_gdr_random_selection(tmp_path):
     assert loaded.codebook.selection_seed == 5
 
 
+def test_checkpoint_of_a_seedless_random_selection_does_not_load(tmp_path):
+    model = build_model(build_gdr(8, 2, selection="random", selection_seed=5), 7, seed=2)
+    path = tmp_path / "gdr.ckpt"
+    save_checkpoint(model, path)
+    path.write_text(path.read_text().replace("selection_seed = 5", "selection_seed = None"))
+    with pytest.raises(ConfigError, match="selection_seed"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_non_finite_parameters(tmp_path):
     model = build_model(build_onehot(4), 7, seed=0)
     model.b3[1] = np.nan
