@@ -4,11 +4,12 @@ Subcommands cover the full workflow: train a model to a checkpoint,
 evaluate it over an SNR axis, run the adaptive scheme, sweep the classical
 baseline, reproduce a published figure, or run the MSE decomposition.
 
-Every subcommand accepts --config pointing at a JSON file whose keys are
-the long flag names (dashes as underscores); explicit flags override the
-file. Axes are written start:stop:step (inclusive), single values, or
-comma lists. All failures exit nonzero with one line on stderr of the form
-`error: <kind>: <message>`.
+Every subcommand accepts --config, a JSON file whose keys are the long flag
+names (dashes as underscores) and `figure`'s recipe `name`; its values are
+checked exactly as the flag's text is, and flags on the line override them.
+Axes are start:stop:step (inclusive, at most MAX_AXIS_POINTS points), single
+values, or comma lists. All failures exit nonzero with one line on stderr,
+`error: <kind>: <message>`; usage errors are `error: ConfigError: ...`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .channel import spawn_rng
 from .codebooks import build_gdr, build_onehot
 from .errors import ConfigError, DomainError
 from .model import TrainingConfig, build_model, load_checkpoint, save_checkpoint, train
+
+MAX_AXIS_POINTS = 10_000  # bounds a mistyped step; recipe axes have at most 40
 
 
 def _axis_floats(parts, text: str) -> list[float]:
@@ -49,14 +52,21 @@ def parse_axis(text: str) -> list[float]:
             raise ConfigError(f"axis step must be positive, got {step}")
         if stop < start:
             raise ConfigError(f"axis stop {stop} is below start {start}")
-        span = (stop - start) / step
-        if not math.isfinite(span):
-            raise ConfigError(f"axis step {step} is too small for {text!r}")
-        count = int(span + 1e-9) + 1
-        return [start + i * step for i in range(count)]
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_AXIS_POINTS:
+            raise ConfigError(f"axis step {step} is too small for {text!r}: "
+                              f"more than {MAX_AXIS_POINTS} points")
+        return [start + i * step for i in range(int(span) + 1)]
     if "," in text:
         return _axis_floats([p for p in text.split(",") if p.strip()], text)
     return _axis_floats([text], text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ConfigError; subparsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -65,7 +75,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aecomm",
         description="link-level simulator for autoencoder-based transmission",
     )
@@ -149,51 +159,47 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands
 
 
-def _config_value(action: argparse.Action, key: str, value):
-    """A config value checked as the flag's text would be: a boolean for a
-    switch, else a string, or a number for a flag that converts its text,
-    passed through the flag's type and choices. The axis flags declare
-    type=str so that a config may give an axis as a number."""
+def _config_tokens(action: argparse.Action, key: str, value) -> list[str]:
+    """A config field as its flag's argv tokens: a switch takes a boolean, else
+    a string, or a number where the flag has a type (the axis flags' str)."""
     if action.nargs == 0:
         if not isinstance(value, bool):
             raise ConfigError(f"config field {key!r} must be true or false, got {value!r}")
-        return value
+        return action.option_strings[:1] if value else []
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (isinstance(value, str) or number and action.type):
         raise ConfigError(f"config field {key!r} must be a string"
                           f"{' or a number' if action.type else ''}, got {value!r}")
-    try:
-        value = action.type(str(value)) if action.type else value
-    except (TypeError, ValueError):
-        raise ConfigError(f"config field {key!r} has invalid value {value!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ConfigError(f"config field {key!r} must be one of {list(action.choices)}, "
-                          f"got {value!r}")
-    return value
+    if action.option_strings:
+        return [f"{action.option_strings[0]}={value}"]
+    if value.startswith("-"):  # a bare token argparse would read as a flag
+        raise ConfigError(f"config field {key!r} must not start with '-', got {value!r}")
+    return [value]
 
 
-def apply_config_file(parser, commands, argv: list[str]) -> argparse.Namespace:
-    """Two-pass parse so a JSON config supplies defaults that flags override.
-
-    Config keys are the flag names with dashes replaced by underscores; each
-    value is checked before any work, as the flag's text would be.
-    """
-    args = parser.parse_args(argv)
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config) as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {args.config} is not valid JSON: {e}")
-    if not isinstance(config, dict):
-        raise ConfigError(f"config file {args.config} must hold a JSON object")
-    actions = {a.dest: a for a in commands[args.command]._actions if a.dest != "help"}
-    for key in config:
-        if key not in actions:
-            raise ConfigError(f"unknown config field {key!r} for command {args.command}")
-    commands[args.command].set_defaults(
-        **{key: _config_value(actions[key], key, value) for key, value in config.items()})
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """One parse; --config fields go in as flag tokens before the line's own."""
+    parser, commands = build_parser()
+    argv = _merge_axis_flags(argv)
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path and argv[0] in commands:
+        with open(path) as fh:
+            try:
+                config = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"config file {path} is not valid JSON: {e}")
+        if not isinstance(config, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+        actions = {a.dest: a for a in commands[argv[0]]._actions
+                   if a.dest not in ("help", "config")}
+        tokens = []
+        for key, value in config.items():
+            if key not in actions:
+                raise ConfigError(f"unknown config field {key!r} for command {argv[0]}")
+            tokens += _config_tokens(actions[key], key, value)
+        argv = argv[:1] + tokens + argv[1:]
     return parser.parse_args(argv)
 
 
@@ -322,22 +328,17 @@ _AXIS_FLAGS = ("--ebn0", "--snr", "--snr-set", "--sigma2")
 
 def _merge_axis_flags(argv: list[str]) -> list[str]:
     out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] in _AXIS_FLAGS and i + 1 < len(argv):
-            out.append(f"{argv[i]}={argv[i + 1]}")
-            i += 2
+    for token in argv:
+        if out and out[-1] in _AXIS_FLAGS:
+            out[-1] = f"{out[-1]}={token}"
         else:
-            out.append(argv[i])
-            i += 1
+            out.append(token)
     return out
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = build_parser()
-    argv = _merge_axis_flags(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = apply_config_file(parser, commands, argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, RuntimeError, OSError) as e:
         message = e.args[0] if e.args else str(e)

@@ -212,6 +212,12 @@ class TestParseAxis:
         with pytest.raises(ValueError):
             cli.parse_axis("a:b:c")
 
+    def test_point_count_is_capped(self):
+        assert len(cli.parse_axis("0:9999:1")) == cli.MAX_AXIS_POINTS == 10_000
+        for text in ("0:10000:1", "0:1:1e-7"):
+            with pytest.raises(ConfigError, match="too small"):
+                cli.parse_axis(text)
+
 
 class TestTrainingFreeRecipes:
     def test_table4_matches_published_totals(self, tmp_path):
@@ -253,6 +259,20 @@ def run_cli(*argv):
 
 
 class TestCliWorkflow:
+    @pytest.mark.parametrize("argv", [("evaluate", "--ebn0", "0"),
+                                      ("baseline", "--ebn0", "0", "--blocks", "1.5"),
+                                      ("baseline", "--ebn0", "0", "--scheme", "bogus"),
+                                      ("baseline", "--ebn0", "0", "--bogus"),
+                                      ()])
+    def test_usage_error_is_one_line(self, capsys, tmp_path, monkeypatch, argv):
+        # a missing required flag, a mistyped value, a choice outside the
+        # flag's, an unknown flag and no subcommand: argparse's own errors
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
     def test_figure_list(self, capsys):
         assert run_cli("figure", "--list") == 0
         out = capsys.readouterr().out
@@ -498,10 +518,12 @@ class TestConfigFile:
         assert config["blocks"] == "800"
 
     def test_unknown_config_key_names_field(self, capsys, tmp_path):
-        cfg = self.write_config(tmp_path, {"bogus": 1})
-        assert run_cli("evaluate", "--config", cfg, "--checkpoint", "x",
-                       "--ebn0", "0") == 2
-        assert "'bogus'" in capsys.readouterr().err
+        # a config names no further config file
+        for key in ("bogus", "config"):
+            cfg = self.write_config(tmp_path, {key: "x"})
+            assert run_cli("evaluate", "--config", cfg, "--checkpoint", "x",
+                           "--ebn0", "0") == 2
+            assert f"unknown config field {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload, key", [({"blocks": 1.5}, "blocks"),
                                               ({"blocks": [100]}, "blocks"),
@@ -514,7 +536,9 @@ class TestConfigFile:
         cfg = self.write_config(tmp_path, payload)
         assert run_cli("baseline", "--config", cfg, "--ebn0", "0", "--blocks", 100) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: ConfigError: config field {key!r}")
+        # refused by the config reader, or by argparse as the flag's text
+        assert err.startswith("error: ConfigError: ")
+        assert f"config field {key!r}" in err or f"argument --{key}:" in err
         assert err.count("\n") == 1
         assert os.listdir(tmp_path) == ["config.json"]
 
@@ -526,8 +550,51 @@ class TestConfigFile:
     ])
     def test_config_value_the_flag_would_take(self, tmp_path, argv, payload, want):
         cfg = self.write_config(tmp_path, payload)
-        args = cli.apply_config_file(*cli.build_parser(), [*argv, "--config", str(cfg)])
+        args = cli.parse_args([*argv, "--config", str(cfg)])
         assert {k: getattr(args, k) for k in want} == want
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "adaptive", "baseline",
+                                         "figure", "analyze"])
+    def test_config_field_equals_its_flag(self, tmp_path, command):
+        # every field, required ones included, each off its default
+        _, commands = cli.build_parser()
+        fields, flags = {}, [command]
+        for a in commands[command]._actions:
+            if a.dest in ("help", "config"):
+                continue
+            if a.nargs == 0:
+                fields[a.dest] = True
+                flags.append(a.option_strings[0])
+                continue
+            if a.choices:
+                value = next(c for c in a.choices if c != a.default)
+            else:
+                value = {int: 3, float: 0.375}.get(a.type, f"{a.dest}-text")
+            fields[a.dest] = value
+            flags += [*a.option_strings[:1], str(value)]
+        cfg = self.write_config(tmp_path, fields)
+        from_config = cli.parse_args([command, "--config", str(cfg)])
+        from_flags = cli.parse_args(flags)
+        assert vars(from_config) == {**vars(from_flags), "config": str(cfg)}
+        assert all(getattr(from_flags, k) != commands[command].get_default(k)
+                   for k in fields)
+
+    def test_config_supplies_a_required_flag(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, {"ebn0": "0", "blocks": 200})
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("baseline", "--config", cfg, "--out", a) == 0
+        assert run_cli("baseline", "--ebn0", "0", "--blocks", 200, "--out", b) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_config_recipe_name_is_one_bare_token(self, capsys, tmp_path):
+        # a name that argparse would read as a flag, and a second name on the
+        # line, are refused rather than run
+        for payload, argv in (({"name": "--list"}, ()), ({"name": "table6"}, ("table4",))):
+            cfg = self.write_config(tmp_path, payload)
+            assert run_cli("figure", "--config", cfg, *argv, "--out-dir", tmp_path) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_invalid_json_is_reported(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
