@@ -15,8 +15,8 @@ from math import log2
 
 import numpy as np
 
-from . import metrics
-from .channel import ChannelSpec, awgn, spawn_rng
+from . import metrics, nn
+from .channel import ChannelSpec, spawn_rng
 from .codebooks import data_rate, subset_codebook
 from .errors import DomainError
 
@@ -42,9 +42,9 @@ def probe_mses(model, spec: ChannelSpec, K: int, rng) -> np.ndarray:
     K=1 is the single-shot probe of the published procedure; larger K
     trades probe cost for a stabler selection. The probes go through the
     channel and the receiver as one batch, in groups of at most CHUNK_BLOCKS
-    rows, into this thread's chunk buffer; the noise is drawn in probe
-    order, and each probe's per-entry errors are added to the total in probe
-    order.
+    rows, each one receiver row tile at a time (metrics.receiver_tiles); the
+    noise is drawn in probe order, and each probe's per-entry errors are
+    added to the total in probe order.
     """
     if K < 1:
         raise DomainError(f"probes per vector must be >= 1, got {K}")
@@ -53,15 +53,16 @@ def probe_mses(model, spec: ChannelSpec, K: int, rng) -> np.ndarray:
     x = model.transmit(entries)
     total = np.zeros(count)
     group = max(1, metrics.CHUNK_BLOCKS // count)
+    rows = min(group, K) * count
+    index = np.arange(rows) % count  # row i of a group probes entry i % count
+    stream = metrics.receiver_tiles(model, rows)
+    errors = np.empty(min(rows, nn.tile_rows(model.M)))
     for done in range(0, K, group):
-        g = min(group, K - done)
-        p = model.receive(awgn(np.tile(x, (g, 1)), spec.sigma2, rng),
-                          out=metrics.chunk_buffer(g * count, model.M))
-        d = p.reshape(g, count, -1)
-        d -= entries
-        np.square(d, out=d)
-        for errors in d.sum(axis=2):
-            total += errors
+        for t, p, spare in stream(x, index[:min(group, K - done) * count], spec.sigma2, rng):
+            p -= np.take(entries, index[t], axis=0, out=spare, mode="clip")
+            np.square(p, out=p)
+            # unbuffered, in row order: each entry's total grows in probe order
+            np.add.at(total, index[t], np.add.reduce(p, axis=1, out=errors[:len(p)]))
     return total / K
 
 

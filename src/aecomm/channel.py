@@ -30,22 +30,26 @@ def snr_db_to_sigma2(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def awgn(x, sigma2, rng: np.random.Generator):
+def awgn(x, sigma2, rng: np.random.Generator, out: np.ndarray | None = None):
     """y = x + n with n i.i.d. Normal(0, sigma2) per element.
 
     sigma2 may be a scalar or an array that broadcasts to x's shape (e.g.
     one variance per batch row, shaped (B, 1)). sigma2 = 0 returns a copy
-    of x. The result is a new array: the noise is drawn, scaled and has x
-    added in place, which gives the bits of x + sqrt(sigma2) * noise, since
-    IEEE products and sums commute exactly.
+    of x. The result is a new array, or `out` when given: a C-contiguous
+    float64 array of x's shape that does not overlap x. The noise is drawn
+    into it, scaled and has x added in place, which gives the bits of
+    x + sqrt(sigma2) * noise, since IEEE products and sums commute exactly.
     """
     sigma2 = np.asarray(sigma2, dtype=np.float64)
-    if not np.all(np.isfinite(sigma2) & (sigma2 >= 0)):
+    if not (np.isfinite(sigma2) & (sigma2 >= 0)).all():
         raise DomainError("noise variance must be finite and non-negative")
     x = np.asarray(x, dtype=np.float64)
-    if np.all(sigma2 == 0):
-        return x.copy()
-    y = rng.standard_normal(x.shape)
+    if not sigma2.any():
+        if out is None:
+            return x.copy()
+        np.copyto(out, x)
+        return out
+    y = rng.standard_normal(x.shape, out=out)
     y *= np.sqrt(sigma2)
     y += x
     return y

@@ -63,7 +63,12 @@ def parse_axis(text: str) -> list[float]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as ConfigError; subparsers share the class."""
+    """Raises a usage error as ConfigError and takes only full flag names;
+    subparsers share the class. An abbreviation would escape the --config
+    pre-parse and the axis-flag folding, which match names exactly."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)

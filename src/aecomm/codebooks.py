@@ -227,8 +227,9 @@ def subset_codebook(codebook: Codebook, indices) -> tuple[Codebook, np.ndarray]:
 
 
 def gray_bit_errors(ids_a, ids_b) -> np.ndarray:
-    """Per-pair count of differing bits under gray-coded message labels."""
-    a = np.asarray(ids_a, dtype=np.uint64)
-    b = np.asarray(ids_b, dtype=np.uint64)
-    diff = (a ^ (a >> np.uint64(1))) ^ (b ^ (b >> np.uint64(1)))
+    """Per-pair count of differing bits under gray-coded message labels:
+    the gray codes of a and b differ where the gray code of a ^ b is set,
+    since the shift distributes over xor."""
+    diff = np.bitwise_xor(np.asarray(ids_a, dtype=np.uint64), np.asarray(ids_b, dtype=np.uint64))
+    diff ^= diff >> np.uint64(1)
     return np.bitwise_count(diff).astype(np.int64)

@@ -8,12 +8,15 @@ carries the full config echo so a rerun can be checked byte for byte.
 from __future__ import annotations
 
 import os
-import threading
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
+from itertools import count as counter
 
 import numpy as np
 
+from . import nn
 from .channel import ChannelSpec, awgn, spawn_rng
 from .codebooks import Codebook, data_rate, decode_batch, gray_bit_errors
 from .errors import DomainError
@@ -22,36 +25,98 @@ from .errors import DomainError
 Z95 = 1.96
 MIN_ERROR_EVENTS = 100
 CHUNK_BLOCKS = 1 << 16
-# the chunk buffer keeps at most this many float64 elements: a receiver
-# output of CHUNK_BLOCKS rows at the largest codebook vector size, 32 MiB
-CHUNK_BUFFER_ELEMENTS = CHUNK_BLOCKS * 64
-# support elements per flat-index MSE update: index temporaries of 64 KiB
-# (four times that, 8,192 GDR 8-of-4 rows, raised a sweep's peak RSS 3 MB)
-MSE_BLOCK_ELEMENTS = 1 << 13
-
-_chunk_buffers = threading.local()
+# np.sum adds a run of at most this many elements in one fixed loop (numpy's
+# pairwise summation); longer runs are split in two
+PAIRWISE_LEAF = 128
 
 
-def chunk_buffer(rows: int, cols: int) -> np.ndarray:
-    """A C-contiguous (rows, cols) float64 array of undefined contents, a
-    view into this thread's chunk buffer.
+def receiver_tiles(model, rows: int):
+    """Passes of up to `rows` rows through the channel and model's receiver,
+    one nn.row_tiles tile at a time: stream(table, index, sigma2, rng)
+    yields (t, p, spare) per tile of awgn(table[index]) -> receive, its row
+    slice, softmax output and a free array of that shape, views into
+    buffers that the next tile overwrites. Drawn tile by tile in row order,
+    the noise is the Generator stream of one draw for the whole pass.
 
-    estimate_bler and adaptive.probe_mses pass it to `receive` as out=. A
-    fresh 65,536 x 64 float64 output is 32 MiB plus numpy's header, just
-    over glibc's largest mmap threshold, so every call would map it anew
-    and the kernel would zero its pages before the receiver first touched
-    them; the buffer is kept between calls instead. It grows to the largest
-    request up to CHUNK_BUFFER_ELEMENTS; a larger one gets a fresh array
-    that is not kept. Each call's view may overlap the last one's, so a
-    caller returns no view of it, and each thread has its own buffer.
+    The buffers are one block, reused by every pass: freeing a block above
+    glibc's mmap threshold raises that threshold to its size and the heap
+    trim threshold to twice that, so later calls' blocks and temporaries
+    come from a heap that is not handed back to the kernel and faulted in
+    again. Separate buffers cost a thousand page faults or more a call.
     """
-    size = rows * cols
-    if size > CHUNK_BUFFER_ELEMENTS:
-        return np.empty((rows, cols))
-    buf = getattr(_chunk_buffers, "buf", None)
-    if buf is None or buf.size < size:
-        buf = _chunk_buffers.buf = np.empty(size)
-    return buf[:size].reshape(rows, cols)
+    M, n = model.M, model.n
+    r = min(rows, nn.tile_rows(M))
+    block = np.empty(r * (2 * n + 2 * M))
+    x, y = block[:r * n].reshape(r, n), block[r * n:2 * r * n].reshape(r, n)
+    hidden, out = block[2 * r * n:].reshape(2, r, M)
+
+    def stream(table, index, sigma2, rng):
+        for t in nn.row_tiles(len(index), M):
+            k = t.stop - t.start
+            # index is in range; mode="raise" would take the rows through a copy
+            xt = np.take(table, index[t], axis=0, out=x[:k], mode="clip")
+            p = model.receive(awgn(xt, sigma2, rng, out=y[:k]), out=out[:k], scratch=hidden)
+            yield t, p, hidden[:k]
+    return stream
+
+
+@lru_cache(maxsize=16)
+def _sum_plan(rows: int, cols: int) -> tuple:
+    """TileSum's plan: per tile, the (slot, lo, hi) runs it sums (lo < 0
+    reaches into the previous tile); the (slot, left, right) joins; the slot
+    count, the last slot being the total."""
+    starts = [t.start * cols for t in nn.row_tiles(rows, cols)] + [rows * cols]
+    pieces = [[] for _ in starts[1:]]
+    joins = []
+    slots = counter()
+
+    def walk(lo, hi):
+        k = bisect_right(starts, lo) - 1
+        if hi <= starts[k + 1] or hi - lo <= PAIRWISE_LEAF:
+            k += hi > starts[k + 1]  # a straddling leaf waits for its last tile
+            pieces[k].append((next(slots), lo - starts[k], hi - starts[k]))
+            return pieces[k][-1][0]
+        half = (hi - lo) // 2
+        mid = lo + half - half % 8
+        left, right = walk(lo, mid), walk(mid, hi)
+        joins.append((next(slots), left, right))
+        return joins[-1][0]
+
+    walk(0, starts[-1])
+    return tuple(map(tuple, pieces)), tuple(joins), next(slots)
+
+
+class TileSum:
+    """np.sum of a C-contiguous (rows, cols) float64 array, bit for bit, from
+    its nn.row_tiles tiles passed to add() in order.
+
+    np.sum adds the flat elements by numpy's pairwise recursion: a run of
+    more than PAIRWISE_LEAF elements splits at n // 2 rounded down to a
+    multiple of 8; a shorter run is a leaf, summed by one fixed loop. So
+    each run within one tile is summed there, a leaf across two tiles from
+    the last tile's tail and this one's head, and total() adds the sums as
+    the recursion does. In a full chunk of a power-of-two width each tile
+    is one run.
+    """
+
+    def __init__(self, rows: int, cols: int):
+        pieces, self._joins, slots = _sum_plan(rows, cols)
+        self._tiles = iter(pieces)
+        self._sums = [0.0] * slots
+        self._tail = None
+
+    def add(self, tile: np.ndarray) -> None:
+        flat = tile.reshape(-1)
+        for slot, lo, hi in next(self._tiles):
+            run = flat[lo:hi] if lo >= 0 else np.concatenate((self._tail[lo:], flat[:hi]))
+            self._sums[slot] = np.add.reduce(run)
+        self._tail = flat[-PAIRWISE_LEAF:].copy()
+
+    def total(self) -> float:
+        sums = self._sums
+        for slot, left, right in self._joins:
+            sums[slot] = sums[left] + sums[right]
+        return float(sums[-1])
 
 
 def chunk_sizes(total: int, name: str):
@@ -109,7 +174,9 @@ def estimate_bler(model, codebook: Codebook | None, spec: ChannelSpec,
     MSE is the mean squared reconstruction error of the softmax output.
     The transmitter output depends only on the message id, so it is
     computed once per call for every entry, in chunks, and gathered per
-    block. The receiver writes each chunk into this thread's chunk_buffer.
+    block. A chunk's ids are drawn at once, then its blocks go through the
+    channel, receiver, decoder and squared error one receiver row tile at a
+    time (receiver_tiles); TileSum adds the squared errors to np.sum's bits.
     """
     sizes = chunk_sizes(blocks, "blocks")
     if codebook is None:
@@ -120,27 +187,30 @@ def estimate_bler(model, codebook: Codebook | None, spec: ChannelSpec,
     count = len(codebook)
     table = np.concatenate([model.transmit(codebook.entries[i:i + CHUNK_BLOCKS])
                             for i in range(0, count, CHUNK_BLOCKS)])
+    stream = receiver_tiles(model, min(blocks, CHUNK_BLOCKS))
+    # each block's support elements as flat indices into its tile's output
+    r = min(blocks, nn.tile_rows(model.M))
+    support = np.empty((r, codebook.m), dtype=np.int64)
+    offsets = np.arange(0, r * model.M, model.M)[:, None]
 
     block_errors = 0
     bit_errors = 0
     mse_sum = 0.0
     for b in sizes:
         ids = rng.integers(0, count, size=b)
-        y = awgn(table[ids], spec.sigma2, rng)
-        p = model.receive(y, out=chunk_buffer(b, model.M))
-        ids_hat = decode_batch(p, codebook)
-        block_errors += int(np.count_nonzero(ids_hat != ids))
-        bit_errors += int(gray_bit_errors(ids, ids_hat).sum())
-        # p - s in place: s is 1/m on each block's support and 0 elsewhere;
-        # each support element is one flat index, touched once
-        flat = p.reshape(-1)
-        step = MSE_BLOCK_ELEMENTS // codebook.m
-        for r in range(0, b, step):
-            rows = ids[r:r + step]
-            at = codebook.supports[rows] + (np.arange(r, r + len(rows)) * codebook.M)[:, None]
-            np.subtract.at(flat, at, 1.0 / codebook.m)
-        np.square(p, out=p)
-        mse_sum += float(np.sum(p))
+        chunk_sum = TileSum(b, model.M)
+        for t, p, _ in stream(table, ids, spec.sigma2, rng):
+            ids_hat = decode_batch(p, codebook)
+            block_errors += int(np.count_nonzero(ids_hat != ids[t]))
+            bit_errors += int(gray_bit_errors(ids[t], ids_hat).sum())
+            # p - s in place: s is 1/m on each block's support and 0
+            # elsewhere; each support element is one flat index, touched once
+            at = np.take(codebook.supports, ids[t], axis=0, out=support[:len(p)], mode="clip")
+            at += offsets[:len(p)]
+            np.subtract.at(p.reshape(-1), at, 1.0 / codebook.m)
+            np.square(p, out=p)
+            chunk_sum.add(p)
+        mse_sum += chunk_sum.total()
 
     bits = blocks * k_bits
     return MetricRecord(

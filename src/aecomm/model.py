@@ -83,12 +83,16 @@ class Autoencoder:
         x = nn.power_normalize(nn.dense(h, self.W2, self.b2))
         return x[0] if single else x
 
-    def receive(self, y, out: np.ndarray | None = None):
-        """Channel output(s) -> softmax probability vector(s).
+    def receive(self, y, out: np.ndarray | None = None, scratch: np.ndarray | None = None):
+        """Channel output(s) -> softmax probability vector(s), computed in
+        nn.row_tiles.
 
         The result is written into `out` when given, as numpy's out=: a
         C-contiguous float64 array of the result's shape, (B, M) or (M,) for
         one vector, which is returned. Its old contents are never read.
+        `scratch`, a C-contiguous float64 array of at least M times the
+        largest tile's rows elements, takes each tile's hidden layer and
+        then its softmax's transposed copy.
         """
         yb, single = nn.as_batch(y, self.n)
         B = yb.shape[0]
@@ -100,14 +104,19 @@ class Autoencoder:
             raise ShapeError(f"out must be a C-contiguous float64 array of shape "
                              f"{shape}, got {out.dtype} {out.shape}")
         p = out.reshape(B, self.M)
-        # Tile sizes differ by at most one row. A short last tile would be
-        # wrong: BLAS multiplies one row, or a few, with other kernels that
-        # round differently, so its rows would not match the untiled product.
-        tiles = -(-B // max(1, nn.TILE_ELEMENTS // self.M))
-        for i in range(tiles):
-            t = slice(i * B // tiles, (i + 1) * B // tiles)
-            h = nn.dense(yb[t], self.W3, self.b3, nn.relu)
-            nn.dense(h, self.W4, self.b4, nn.softmax, out=p[t])
+        tiles = nn.row_tiles(B, self.M)
+        size = (tiles[-1].stop - tiles[-1].start) * self.M if tiles else 0
+        if scratch is None:
+            scratch = np.empty(size)
+        elif (scratch.dtype != np.float64 or not scratch.flags.c_contiguous
+              or scratch.size < size):
+            raise ShapeError(f"scratch must be a C-contiguous float64 array of at "
+                             f"least {size} elements, got {scratch.dtype} {scratch.shape}")
+        flat = scratch.reshape(-1)
+        for t in tiles:
+            h = nn.dense(yb[t], self.W3, self.b3, nn.relu,
+                         out=flat[:(t.stop - t.start) * self.M].reshape(-1, self.M))
+            nn.softmax(nn.dense(h, self.W4, self.b4, out=p[t]), overwrite=True, scratch=h)
         return out
 
     def params_checksum(self) -> str:

@@ -10,6 +10,7 @@ at once.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod, sqrt
 
 import numpy as np
@@ -65,32 +66,55 @@ def as_batch(x, width: int | None = None) -> tuple[np.ndarray, bool]:
     return xb, x.ndim == 1
 
 
-def row_reduce(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
+def tile_rows(M: int) -> int:
+    """The most rows of M float64 elements a row tile holds."""
+    return max(1, TILE_ELEMENTS // M)
+
+
+@lru_cache(maxsize=64)
+def row_tiles(B: int, M: int) -> tuple[slice, ...]:
+    """The row slices a (B, M) receiver output is computed in, of at most
+    tile_rows(M) rows; sizes differ by at most one row, the last the
+    largest. A short last tile would round differently: BLAS multiplies one
+    row, or a few, with other kernels."""
+    tiles = -(-B // tile_rows(M))
+    return tuple(slice(i * B // tiles, (i + 1) * B // tiles) for i in range(tiles))
+
+
+def row_reduce(ufunc: np.ufunc, rows: np.ndarray, scratch=None) -> np.ndarray:
     """ufunc.reduce over each row of a 2-D array, for a short-row min or max.
 
     Each row is reduced down the columns of a transposed copy, which numpy
     vectorizes across rows; a short row reduced on its own is not. The copy
     is made TILE_ELEMENTS at a time, since transposing a large array at once
-    strides through memory. A min or max is exact in any order, NaN
-    included; where +0 and -0 tie, the sign of the zero may differ.
+    strides through memory, into `scratch` when given: a C-contiguous
+    float64 array of at least that many elements, or of rows' size. A min
+    or max is exact in any order, NaN included; where +0 and -0 tie, the
+    sign of the zero may differ.
     """
     out = np.empty(rows.shape[0])
-    step = max(1, TILE_ELEMENTS // rows.shape[1])
+    step = tile_rows(rows.shape[1])
+    if scratch is None:
+        scratch = np.empty(min(rows.shape[0], step) * rows.shape[1])
     for i in range(0, rows.shape[0], step):
-        ufunc.reduce(np.ascontiguousarray(rows[i:i + step].T), axis=0, out=out[i:i + step])
+        block = rows[i:i + step]
+        t = scratch.reshape(-1)[:block.size].reshape(block.shape[::-1])
+        np.copyto(t, block.T)
+        ufunc.reduce(t, axis=0, out=out[i:i + step])
     return out
 
 
-def softmax(z: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def softmax(z: np.ndarray, overwrite: bool = False, scratch=None) -> np.ndarray:
     """Row-wise softmax with max subtraction for overflow safety.
 
-    overwrite=True lets the result replace z, saving a temporary.
+    overwrite=True lets the result replace z, saving a temporary; scratch
+    is row_reduce's.
 
     The row max comes from row_reduce; where +0 and -0 tie for it, z - max
     differs at most in the sign of a zero, which exp maps to 1 either way.
     """
     z = np.asarray(z, dtype=np.float64)
-    zmax = row_reduce(np.maximum, z.reshape(-1, z.shape[-1]))
+    zmax = row_reduce(np.maximum, z.reshape(-1, z.shape[-1]), scratch)
     e = np.subtract(z, zmax.reshape(z.shape[:-1] + (1,)), out=z if overwrite else None)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)

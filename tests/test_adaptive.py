@@ -136,8 +136,8 @@ def test_batched_probe_equals_probe_loop_bit_for_bit(codebook, K):
 
 
 def _fresh_buffer_probe(model, spec, K, rng):
-    """probe_mses as it was before the chunk buffer: a fresh receiver output
-    per probe group and the noise added out of place."""
+    """probe_mses as it was before the tile loop and the chunk buffer: a
+    fresh receiver output per probe group and the noise added out of place."""
     entries = model.codebook.entries
     count = entries.shape[0]
     x = model.transmit(entries)
@@ -158,12 +158,13 @@ def _fresh_buffer_probe(model, spec, K, rng):
 @pytest.mark.parametrize("codebook", [build_onehot(64), build_gdr(8, 4)],
                          ids=["onehot_m64", "gdr_m8x4"])
 def test_chunk_buffer_probe_equals_fresh_output_bit_for_bit(codebook):
-    # K = 1025 spans two probe groups at 64 entries
+    # the probes streamed one receiver row tile at a time against one
+    # receiver output per group; K = 100 puts probes across tile boundaries
+    # at M=64, and K = 1025 spans two probe groups at 64 entries
     model = build_model(codebook, 7, seed=4)
     spec = ChannelSpec.from_snr_db(7, data_rate(codebook, 7), 2.0)
     for K in (1, 100, 1025):
         expected = _fresh_buffer_probe(model, spec, K, spawn_rng(7, K)).tobytes()
-        metrics.chunk_buffer(metrics.CHUNK_BLOCKS, 64).fill(np.nan)
         assert probe_mses(model, spec, K, spawn_rng(7, K)).tobytes() == expected, f"K={K}"
 
 

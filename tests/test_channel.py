@@ -69,6 +69,16 @@ def test_awgn_returns_a_new_array_with_the_out_of_place_bits(sigma2):
     assert y.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("sigma2", [0.0, 0.3, "per_row"])
+def test_awgn_into_out_has_the_bits_of_a_new_array(sigma2):
+    x = np.random.default_rng(3).standard_normal((500, 7))
+    if sigma2 == "per_row":
+        sigma2 = np.random.default_rng(4).uniform(0.0, 2.0, size=(500, 1))
+    out = np.full(x.shape, np.nan)
+    assert awgn(x, sigma2, np.random.default_rng(5), out=out) is out
+    assert out.tobytes() == awgn(x, sigma2, np.random.default_rng(5)).tobytes()
+
+
 def test_awgn_rejects_negative_variance():
     with pytest.raises(DomainError):
         awgn(np.zeros(3), -0.1, np.random.default_rng(0))

@@ -273,6 +273,19 @@ class TestCliWorkflow:
         assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("argv", [("baseline", "--ebn", "-2:0:1"),
+                                      ("baseline", "--ebn0", "0", "--conf", "f.json"),
+                                      ("baseline", "--ebn", "0:2:1")])
+    def test_abbreviated_flag_is_a_one_line_error(self, capsys, tmp_path, monkeypatch, argv):
+        # only full flag names: the axis folding and the --config pre-parse
+        # match them exactly, so an abbreviation would parse one way there
+        # and another in argparse
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
     def test_figure_list(self, capsys):
         assert run_cli("figure", "--list") == 0
         out = capsys.readouterr().out

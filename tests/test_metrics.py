@@ -1,21 +1,23 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from aecomm import metrics
+from aecomm import metrics, nn
 from aecomm.channel import ChannelSpec, awgn, spawn_rng
 from aecomm.codebooks import (build_gdr, build_onehot, data_rate, decode_batch,
                               gray_bit_errors, subset_codebook)
 from aecomm.errors import DomainError
 from aecomm.metrics import (
     CHUNK_BLOCKS,
-    CHUNK_BUFFER_ELEMENTS,
     EVALUATE_COLUMNS,
-    MSE_BLOCK_ELEMENTS,
+    PAIRWISE_LEAF,
+    TileSum,
     atomic_write,
-    chunk_buffer,
     chunk_sizes,
     estimate_bler,
     format_value,
@@ -116,9 +118,10 @@ def test_estimate_transmits_its_symbol_table_in_chunks(monkeypatch):
 
 
 def _fresh_buffer_estimate(model, codebook, spec, blocks, rng):
-    """estimate_bler's chunk body as it was before the chunk buffer: a fresh
-    receiver output per chunk, the noise added out of place, and the MSE
-    update as one 2-D fancy index per chunk."""
+    """estimate_bler's chunk body as it was before the tile loop and the
+    chunk buffer: a fresh (b, M) receiver output per chunk, the noise added
+    out of place, the MSE update as one 2-D fancy index per chunk, and one
+    np.sum over the chunk."""
     count = len(codebook)
     table = model.transmit(codebook.entries)
     block_errors = bit_errors = 0
@@ -160,8 +163,9 @@ def _buffer_case(kind):
 BUFFER_CASES = [f"{name}{subset}"
                 for name in ("onehot_4", "onehot_16", "onehot_64", "gdr_8x3", "gdr_8x4")
                 for subset in ("", "+subset")]
-# MSE_BLOCK_ELEMENTS + 1 rows end one row into a second MSE update block at m=1
-BUFFER_BLOCKS = (1, 7, MSE_BLOCK_ELEMENTS + 1, CHUNK_BLOCKS - 1, CHUNK_BLOCKS,
+# remainder chunks of 8,193 and 65,535 rows are cut into tiles whose
+# pairwise-sum leaves straddle tile boundaries at every width
+BUFFER_BLOCKS = (1, 7, 8_193, CHUNK_BLOCKS - 1, CHUNK_BLOCKS,
                  CHUNK_BLOCKS + 1, 2 * CHUNK_BLOCKS + 3)
 
 
@@ -182,32 +186,85 @@ def test_estimate_ignores_what_the_chunk_buffer_held():
     spec64 = ChannelSpec.from_ebn0(7, 6 / 7, 2.0)
     blocks = CHUNK_BLOCKS + 3
     expected = _fresh_buffer_estimate(small, small.codebook, spec4, blocks, spawn_rng(12, 0))
-    chunk_buffer(CHUNK_BLOCKS, 64).fill(np.nan)
     assert _counts(estimate_bler(small, None, spec4, blocks, spawn_rng(12, 0))) == expected
-    # a wider receiver output fills the buffer first
+    # nothing a wider receiver's call left in memory reaches the next call
     estimate_bler(large, None, spec64, blocks, spawn_rng(12, 1))
     assert _counts(estimate_bler(small, None, spec4, blocks, spawn_rng(12, 0))) == expected
 
 
-def test_chunk_buffer_views_one_bounded_buffer_per_thread():
-    a = chunk_buffer(3, 5)
-    assert a.shape == (3, 5) and a.dtype == np.float64 and a.flags.c_contiguous
-    b = chunk_buffer(5, 3)
-    assert np.shares_memory(a, b)
-    full = chunk_buffer(CHUNK_BLOCKS, 64)
-    assert full.size == CHUNK_BUFFER_ELEMENTS
-    assert np.shares_memory(full, chunk_buffer(1, 1))
-    # beyond the bound a request gets its own array, and the buffer stays
-    over = chunk_buffer(CHUNK_BLOCKS + 1, 64)
-    assert over.shape == (CHUNK_BLOCKS + 1, 64)
-    assert not np.shares_memory(over, full)
-    assert np.shares_memory(full, chunk_buffer(7, 64))
-    seen = []
-    worker = threading.Thread(target=lambda: seen.append(chunk_buffer(3, 5)))
+def test_one_m64_chunk_allocates_no_chunk_sized_output():
+    # a fresh thread, so that nothing an earlier call kept is reused; a
+    # (65,536, 64) float64 receiver output alone is 32 MiB
+    model = build_model(build_onehot(64), 7, seed=1)
+    spec = ChannelSpec.from_ebn0(7, 6 / 7, 2.0)
+    peaks = []
+
+    def run():
+        tracemalloc.start()
+        try:
+            estimate_bler(model, None, spec, CHUNK_BLOCKS, spawn_rng(14, 0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    worker = threading.Thread(target=run)
     worker.start()
-    worker.join(timeout=30)
+    worker.join(timeout=120)
     assert not worker.is_alive()
-    assert not np.shares_memory(seen[0], chunk_buffer(3, 5))
+    assert peaks and peaks[0] < 8 << 20, peaks
+
+
+def _straddles(rows, cols):
+    """Whether a pairwise-sum leaf of a (rows, cols) array spans two tiles."""
+    return any(lo < 0 for tile in metrics._sum_plan(rows, cols)[0] for _, lo, _ in tile)
+
+
+def test_remainder_chunks_have_leaves_across_tile_boundaries():
+    # the examples below exercise the carried tail; full chunks have none
+    assert _straddles(8_193, 64) and _straddles(16_961, 64) and _straddles(CHUNK_BLOCKS - 1, 4)
+    for cols in (4, 8, 16, 32, 64):
+        assert not _straddles(CHUNK_BLOCKS, cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 3 * CHUNK_BLOCKS), cols=st.sampled_from((4, 8, 16, 32, 64)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(rows=8_193, cols=64, seed=0)
+@example(rows=16_961, cols=64, seed=1)
+@example(rows=CHUNK_BLOCKS - 1, cols=4, seed=2)
+@example(rows=CHUNK_BLOCKS, cols=64, seed=3)
+@example(rows=3 * CHUNK_BLOCKS, cols=8, seed=4)
+@example(rows=1, cols=4, seed=5)
+def test_tile_sum_equals_np_sum_of_the_whole_array(rows, cols, seed):
+    # squared errors over many binades, so that any other association of
+    # the additions would round differently
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, cols))
+    a *= np.exp2(rng.integers(-30, 30, size=(rows, 1)))
+    np.square(a, out=a)
+    chunk_sum = TileSum(rows, cols)
+    for t in nn.row_tiles(rows, cols):
+        chunk_sum.add(a[t])
+    assert chunk_sum.total() == float(np.sum(a))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_noise_drawn_tile_by_tile_is_the_chunk_draw(seed):
+    # a chunk draws its ids, then its noise tile by tile into one buffer;
+    # the noise and the next chunk's ids are those of one chunk-wide draw
+    sizes = np.random.default_rng(seed)
+    b = int(sizes.integers(1, CHUNK_BLOCKS + 1))
+    M = int(sizes.choice([4, 8, 16, 32, 64]))
+    x = sizes.standard_normal((b, 7))
+    whole, tiled = spawn_rng(15, seed), spawn_rng(15, seed)
+    ids = whole.integers(0, M, size=b)
+    y = awgn(x, 0.3, whole)
+    assert tiled.integers(0, M, size=b).tobytes() == ids.tobytes()
+    buf = np.empty((nn.tile_rows(M), 7))
+    for t in nn.row_tiles(b, M):
+        k = t.stop - t.start
+        assert awgn(x[t], 0.3, tiled, out=buf[:k]).tobytes() == y[t].tobytes()
+    assert tiled.integers(0, M, size=b).tobytes() == whole.integers(0, M, size=b).tobytes()
 
 
 def test_threads_evaluating_at_once_match_their_serial_records():

@@ -512,9 +512,13 @@ def test_tiled_receive_equals_untiled_product_bit_for_bit(codebook):
         p = model.receive(y)
         assert p.shape == (B, model.M)
         np.testing.assert_array_equal(p, _untiled_receive(model, y), err_msg=f"B={B}")
-        # into a given buffer, whatever it held, with the same bits
+        # into a given buffer and through a given scratch, whatever they
+        # held, with the same bits
         buf = np.full((B, model.M), np.nan)
         assert model.receive(y, out=buf) is buf
+        assert buf.tobytes() == p.tobytes(), f"B={B}"
+        buf[...] = np.nan
+        model.receive(y, out=buf, scratch=np.full(nn.TILE_ELEMENTS, np.nan))
         assert buf.tobytes() == p.tobytes(), f"B={B}"
     single = model.receive(y[5])
     assert single.shape == (model.M,)
@@ -528,5 +532,9 @@ def test_tiled_receive_equals_untiled_product_bit_for_bit(codebook):
                 np.empty((model.M, B)).T):
         with pytest.raises(ShapeError):
             model.receive(y, out=bad)
+    tile = (nn.row_tiles(B, model.M)[-1].stop - nn.row_tiles(B, model.M)[-1].start) * model.M
+    for bad in (np.empty(tile - 1), np.empty(tile, np.float32), np.empty(2 * tile)[::2]):
+        with pytest.raises(ShapeError):
+            model.receive(y, scratch=bad)
     with pytest.raises(ShapeError):
         model.receive(y[5], out=np.empty((1, model.M)))
