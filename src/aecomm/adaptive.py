@@ -40,10 +40,10 @@ def probe_mses(model, spec: ChannelSpec, K: int, rng) -> np.ndarray:
     """Average over K channel realizations of per-entry reconstruction MSE.
 
     K=1 is the single-shot probe of the published procedure; larger K
-    trades probe cost for a stabler selection. The probes go through the
-    channel and the receiver as one batch, in groups of at most CHUNK_BLOCKS
-    rows, each one receiver row tile at a time (metrics.receiver_tiles); the
-    noise is drawn in probe order, and each probe's per-entry errors are
+    trades probe cost for a stabler selection. The K * count probe rows,
+    row i probing entry i % count, go through the channel and the receiver
+    in batches of at most nn.tile_rows(M) rows (metrics.tile_receiver); the
+    noise is drawn in row order, and each probe's per-entry errors are
     added to the total in probe order.
     """
     if K < 1:
@@ -52,17 +52,18 @@ def probe_mses(model, spec: ChannelSpec, K: int, rng) -> np.ndarray:
     count = entries.shape[0]
     x = model.transmit(entries)
     total = np.zeros(count)
-    group = max(1, metrics.CHUNK_BLOCKS // count)
-    rows = min(group, K) * count
-    index = np.arange(rows) % count  # row i of a group probes entry i % count
-    stream = metrics.receiver_tiles(model, rows)
-    errors = np.empty(min(rows, nn.tile_rows(model.M)))
-    for done in range(0, K, group):
-        for t, p, spare in stream(x, index[:min(group, K - done) * count], spec.sigma2, rng):
-            p -= np.take(entries, index[t], axis=0, out=spare, mode="clip")
-            np.square(p, out=p)
-            # unbuffered, in row order: each entry's total grows in probe order
-            np.add.at(total, index[t], np.add.reduce(p, axis=1, out=errors[:len(p)]))
+    rows = K * count
+    r = min(rows, nn.tile_rows(model.M))
+    # a batch from row `start` probes index[start % count:], cut to its length
+    index = np.arange(count + r) % count
+    receive = metrics.tile_receiver(model, rows)
+    for start in range(0, rows, r):
+        at = index[start % count:][:min(r, rows - start)]
+        p, spare = receive(x, at, spec.sigma2, rng)
+        p -= np.take(entries, at, axis=0, out=spare, mode="clip")
+        np.square(p, out=p)
+        # unbuffered, in row order: each entry's total grows in probe order
+        np.add.at(total, at, np.add.reduce(p, axis=1))
     return total / K
 
 

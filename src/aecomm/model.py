@@ -84,15 +84,13 @@ class Autoencoder:
         return x[0] if single else x
 
     def receive(self, y, out: np.ndarray | None = None, scratch: np.ndarray | None = None):
-        """Channel output(s) -> softmax probability vector(s), computed in
-        nn.row_tiles.
+        """Channel output(s) -> softmax probability vector(s).
 
         The result is written into `out` when given, as numpy's out=: a
         C-contiguous float64 array of the result's shape, (B, M) or (M,) for
         one vector, which is returned. Its old contents are never read.
-        `scratch`, a C-contiguous float64 array of at least M times the
-        largest tile's rows elements, takes each tile's hidden layer and
-        then its softmax's transposed copy.
+        `scratch`, a C-contiguous float64 array of at least B * M elements,
+        takes the hidden layer and then its softmax's transposed copy.
         """
         yb, single = nn.as_batch(y, self.n)
         B = yb.shape[0]
@@ -103,20 +101,17 @@ class Autoencoder:
               or not out.flags.c_contiguous):
             raise ShapeError(f"out must be a C-contiguous float64 array of shape "
                              f"{shape}, got {out.dtype} {out.shape}")
-        p = out.reshape(B, self.M)
-        tiles = nn.row_tiles(B, self.M)
-        size = (tiles[-1].stop - tiles[-1].start) * self.M if tiles else 0
+        size = B * self.M
         if scratch is None:
             scratch = np.empty(size)
         elif (scratch.dtype != np.float64 or not scratch.flags.c_contiguous
               or scratch.size < size):
             raise ShapeError(f"scratch must be a C-contiguous float64 array of at "
                              f"least {size} elements, got {scratch.dtype} {scratch.shape}")
-        flat = scratch.reshape(-1)
-        for t in tiles:
-            h = nn.dense(yb[t], self.W3, self.b3, nn.relu,
-                         out=flat[:(t.stop - t.start) * self.M].reshape(-1, self.M))
-            nn.softmax(nn.dense(h, self.W4, self.b4, out=p[t]), overwrite=True, scratch=h)
+        h = nn.dense(yb, self.W3, self.b3, nn.relu,
+                     out=scratch.reshape(-1)[:size].reshape(B, self.M))
+        nn.softmax(nn.dense(h, self.W4, self.b4, out=out.reshape(B, self.M)),
+                   overwrite=True, scratch=h)
         return out
 
     def params_checksum(self) -> str:

@@ -10,7 +10,6 @@ at once.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import prod, sqrt
 
 import numpy as np
@@ -71,16 +70,6 @@ def tile_rows(M: int) -> int:
     return max(1, TILE_ELEMENTS // M)
 
 
-@lru_cache(maxsize=64)
-def row_tiles(B: int, M: int) -> tuple[slice, ...]:
-    """The row slices a (B, M) receiver output is computed in, of at most
-    tile_rows(M) rows; sizes differ by at most one row, the last the
-    largest. A short last tile would round differently: BLAS multiplies one
-    row, or a few, with other kernels."""
-    tiles = -(-B // tile_rows(M))
-    return tuple(slice(i * B // tiles, (i + 1) * B // tiles) for i in range(tiles))
-
-
 def row_reduce(ufunc: np.ufunc, rows: np.ndarray, scratch=None) -> np.ndarray:
     """ufunc.reduce over each row of a 2-D array, for a short-row min or max.
 
@@ -130,13 +119,11 @@ def dense(x: np.ndarray, W: np.ndarray, b: np.ndarray, activation=None,
           out: np.ndarray | None = None) -> np.ndarray:
     """activation(x @ W.T + b) for a batch; bias and activation work in place
     on the product, which belongs to this call or is written into `out`.
-    activation is relu, softmax or None (linear)."""
+    activation is relu or None (linear)."""
     z = np.matmul(x, W.T, out=out)
     z += b
     if activation is relu:
         return relu(z)
-    if activation is softmax:
-        return softmax(z, overwrite=True)
     return z
 
 

@@ -136,8 +136,8 @@ def test_batched_probe_equals_probe_loop_bit_for_bit(codebook, K):
 
 
 def _fresh_buffer_probe(model, spec, K, rng):
-    """probe_mses as it was before the tile loop and the chunk buffer: a
-    fresh receiver output per probe group and the noise added out of place."""
+    """probe_mses with fresh arrays: one receiver output per group of up to
+    CHUNK_BLOCKS rows, and the noise added out of place."""
     entries = model.codebook.entries
     count = entries.shape[0]
     x = model.transmit(entries)
@@ -157,7 +157,7 @@ def _fresh_buffer_probe(model, spec, K, rng):
 
 @pytest.mark.parametrize("codebook", [build_onehot(64), build_gdr(8, 4)],
                          ids=["onehot_m64", "gdr_m8x4"])
-def test_chunk_buffer_probe_equals_fresh_output_bit_for_bit(codebook):
+def test_probe_equals_fresh_array_reference_bit_for_bit(codebook):
     # the probes streamed one receiver row tile at a time against one
     # receiver output per group; K = 100 puts probes across tile boundaries
     # at M=64, and K = 1025 spans two probe groups at 64 entries

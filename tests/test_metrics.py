@@ -4,8 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from aecomm import metrics, nn
 from aecomm.channel import ChannelSpec, awgn, spawn_rng
@@ -15,8 +13,6 @@ from aecomm.errors import DomainError
 from aecomm.metrics import (
     CHUNK_BLOCKS,
     EVALUATE_COLUMNS,
-    PAIRWISE_LEAF,
-    TileSum,
     atomic_write,
     chunk_sizes,
     estimate_bler,
@@ -61,11 +57,13 @@ def test_noiseless_mse_matches_direct_computation(model_zoo):
     assert rec.mse == pytest.approx(float(np.mean(np.sum((p - s) ** 2, axis=1))))
 
 
-def _reference_estimate(model, codebook, spec, blocks, rng, chunk=CHUNK_BLOCKS):
-    """estimate_bler's counts the slow way, chunk by chunk: transmit the
-    gathered entries, decode by a stable sort of each row, build s for MSE."""
+def _reference_estimate(model, codebook, spec, blocks, rng):
+    """estimate_bler's counts the slow way, in chunks of nn.tile_rows(M)
+    blocks: transmit the gathered entries, decode by a stable sort of each
+    row, build s for MSE."""
     block_errors = bit_errors = 0
     mse_sum = 0.0
+    chunk = nn.tile_rows(model.M)
     for start in range(0, blocks, chunk):
         ids = rng.integers(0, len(codebook), size=min(chunk, blocks - start))
         s = codebook.entries[ids]
@@ -89,7 +87,7 @@ def test_estimate_matches_reference_loop(kind):
         codebook, _ = subset_codebook(codebook, [13, 2, 7, 11, 4, 9, 0, 15])
     for ebn0_db in (0.0, 8.0):
         spec = ChannelSpec.from_ebn0(7, codebook.bits_per_message / 7, ebn0_db)
-        blocks = CHUNK_BLOCKS // 4  # one chunk, as the reference assumes
+        blocks = CHUNK_BLOCKS // 4  # two to four chunks
         rec = estimate_bler(model, codebook, spec, blocks, spawn_rng(9, 0))
         block_errors, bit_errors, mse = _reference_estimate(
             model, codebook, spec, blocks, spawn_rng(9, 0))
@@ -101,7 +99,8 @@ def test_estimate_transmits_its_symbol_table_in_chunks(monkeypatch):
     codebook = build_onehot(16)
     model = build_model(codebook, 7, seed=0)
     spec = ChannelSpec.from_ebn0(7, 4 / 7, 4.0)
-    expected = _reference_estimate(model, codebook, spec, 500, spawn_rng(9, 1), chunk=5)
+    # CHUNK_BLOCKS slices the symbol table only, not the blocks
+    expected = _reference_estimate(model, codebook, spec, 500, spawn_rng(9, 1))
     rows = []
     transmit = model.transmit
 
@@ -117,17 +116,17 @@ def test_estimate_transmits_its_symbol_table_in_chunks(monkeypatch):
     assert (rec.block_errors, rec.bit_errors, rec.mse) == expected
 
 
-def _fresh_buffer_estimate(model, codebook, spec, blocks, rng):
-    """estimate_bler's chunk body as it was before the tile loop and the
-    chunk buffer: a fresh (b, M) receiver output per chunk, the noise added
-    out of place, the MSE update as one 2-D fancy index per chunk, and one
-    np.sum over the chunk."""
+def _fresh_array_estimate(model, codebook, spec, blocks, rng):
+    """estimate_bler's chunk body with fresh arrays: per chunk of
+    nn.tile_rows(M) blocks a new (b, M) receiver output, the noise added out
+    of place, the MSE update as one 2-D fancy index, and one np.sum."""
     count = len(codebook)
     table = model.transmit(codebook.entries)
     block_errors = bit_errors = 0
     mse_sum = 0.0
-    for start in range(0, blocks, CHUNK_BLOCKS):
-        b = min(CHUNK_BLOCKS, blocks - start)
+    chunk = nn.tile_rows(model.M)
+    for start in range(0, blocks, chunk):
+        b = min(chunk, blocks - start)
         ids = rng.integers(0, count, size=b)
         x = table[ids]
         y = x + np.sqrt(spec.sigma2) * rng.standard_normal(x.shape) if spec.sigma2 else x
@@ -163,29 +162,28 @@ def _buffer_case(kind):
 BUFFER_CASES = [f"{name}{subset}"
                 for name in ("onehot_4", "onehot_16", "onehot_64", "gdr_8x3", "gdr_8x4")
                 for subset in ("", "+subset")]
-# remainder chunks of 8,193 and 65,535 rows are cut into tiles whose
-# pairwise-sum leaves straddle tile boundaries at every width
+# one chunk, a short one, and full chunks with a remainder at every width
 BUFFER_BLOCKS = (1, 7, 8_193, CHUNK_BLOCKS - 1, CHUNK_BLOCKS,
                  CHUNK_BLOCKS + 1, 2 * CHUNK_BLOCKS + 3)
 
 
 @pytest.mark.parametrize("kind", BUFFER_CASES)
-def test_chunk_buffer_estimate_equals_fresh_output_bit_for_bit(kind):
+def test_estimate_equals_fresh_array_reference_bit_for_bit(kind):
     model, codebook = _buffer_case(kind)
     spec = ChannelSpec.from_ebn0(7, codebook.bits_per_message / 7, 2.0)
     for blocks in BUFFER_BLOCKS:
         rec = estimate_bler(model, codebook, spec, blocks, spawn_rng(11, blocks))
-        assert _counts(rec) == _fresh_buffer_estimate(
+        assert _counts(rec) == _fresh_array_estimate(
             model, codebook, spec, blocks, spawn_rng(11, blocks)), f"blocks={blocks}"
 
 
-def test_estimate_ignores_what_the_chunk_buffer_held():
+def test_estimate_ignores_what_its_buffers_held():
     small, _ = _buffer_case("onehot_4")
     large, _ = _buffer_case("onehot_64")
     spec4 = ChannelSpec.from_ebn0(7, 2 / 7, 2.0)
     spec64 = ChannelSpec.from_ebn0(7, 6 / 7, 2.0)
     blocks = CHUNK_BLOCKS + 3
-    expected = _fresh_buffer_estimate(small, small.codebook, spec4, blocks, spawn_rng(12, 0))
+    expected = _fresh_array_estimate(small, small.codebook, spec4, blocks, spawn_rng(12, 0))
     assert _counts(estimate_bler(small, None, spec4, blocks, spawn_rng(12, 0))) == expected
     # nothing a wider receiver's call left in memory reaches the next call
     estimate_bler(large, None, spec64, blocks, spawn_rng(12, 1))
@@ -212,59 +210,6 @@ def test_one_m64_chunk_allocates_no_chunk_sized_output():
     worker.join(timeout=120)
     assert not worker.is_alive()
     assert peaks and peaks[0] < 8 << 20, peaks
-
-
-def _straddles(rows, cols):
-    """Whether a pairwise-sum leaf of a (rows, cols) array spans two tiles."""
-    return any(lo < 0 for tile in metrics._sum_plan(rows, cols)[0] for _, lo, _ in tile)
-
-
-def test_remainder_chunks_have_leaves_across_tile_boundaries():
-    # the examples below exercise the carried tail; full chunks have none
-    assert _straddles(8_193, 64) and _straddles(16_961, 64) and _straddles(CHUNK_BLOCKS - 1, 4)
-    for cols in (4, 8, 16, 32, 64):
-        assert not _straddles(CHUNK_BLOCKS, cols)
-
-
-@settings(max_examples=40, deadline=None)
-@given(rows=st.integers(1, 3 * CHUNK_BLOCKS), cols=st.sampled_from((4, 8, 16, 32, 64)),
-       seed=st.integers(0, 2 ** 32 - 1))
-@example(rows=8_193, cols=64, seed=0)
-@example(rows=16_961, cols=64, seed=1)
-@example(rows=CHUNK_BLOCKS - 1, cols=4, seed=2)
-@example(rows=CHUNK_BLOCKS, cols=64, seed=3)
-@example(rows=3 * CHUNK_BLOCKS, cols=8, seed=4)
-@example(rows=1, cols=4, seed=5)
-def test_tile_sum_equals_np_sum_of_the_whole_array(rows, cols, seed):
-    # squared errors over many binades, so that any other association of
-    # the additions would round differently
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((rows, cols))
-    a *= np.exp2(rng.integers(-30, 30, size=(rows, 1)))
-    np.square(a, out=a)
-    chunk_sum = TileSum(rows, cols)
-    for t in nn.row_tiles(rows, cols):
-        chunk_sum.add(a[t])
-    assert chunk_sum.total() == float(np.sum(a))
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_noise_drawn_tile_by_tile_is_the_chunk_draw(seed):
-    # a chunk draws its ids, then its noise tile by tile into one buffer;
-    # the noise and the next chunk's ids are those of one chunk-wide draw
-    sizes = np.random.default_rng(seed)
-    b = int(sizes.integers(1, CHUNK_BLOCKS + 1))
-    M = int(sizes.choice([4, 8, 16, 32, 64]))
-    x = sizes.standard_normal((b, 7))
-    whole, tiled = spawn_rng(15, seed), spawn_rng(15, seed)
-    ids = whole.integers(0, M, size=b)
-    y = awgn(x, 0.3, whole)
-    assert tiled.integers(0, M, size=b).tobytes() == ids.tobytes()
-    buf = np.empty((nn.tile_rows(M), 7))
-    for t in nn.row_tiles(b, M):
-        k = t.stop - t.start
-        assert awgn(x[t], 0.3, tiled, out=buf[:k]).tobytes() == y[t].tobytes()
-    assert tiled.integers(0, M, size=b).tobytes() == whole.integers(0, M, size=b).tobytes()
 
 
 def test_threads_evaluating_at_once_match_their_serial_records():
@@ -354,6 +299,8 @@ def test_chunk_sizes_are_full_chunks_then_the_rest(total):
     assert sum(sizes) == total
     assert sizes[:-1] == [CHUNK_BLOCKS] * (len(sizes) - 1)
     assert 1 <= sizes[-1] <= CHUNK_BLOCKS
+    assert list(chunk_sizes(total, "blocks", 1_000)) == [
+        min(1_000, total - start) for start in range(0, total, 1_000)]
 
 
 @pytest.mark.parametrize("total", [0, -5])

@@ -489,51 +489,38 @@ def test_end_to_end_noiseless_round_trip(model_zoo):
     assert np.all(np.argmax(p, axis=1) == ids)
 
 
-def _untiled_receive(model, y):
-    h = nn.dense(y, model.W3, model.b3, nn.relu)
-    return nn.dense(h, model.W4, model.b4, nn.softmax)
-
-
 @pytest.mark.parametrize("codebook", [build_onehot(4), build_onehot(16),
                                       build_onehot(64), build_gdr(8, 4)],
                          ids=["onehot_m4", "onehot_m16", "onehot_m64", "gdr_m8x4"])
-def test_tiled_receive_equals_untiled_product_bit_for_bit(codebook):
-    # Exact equality asks that the BLAS round each row of a tile of hundreds
-    # of rows as it does in the full product. OpenBLAS 0.3.x with one thread
-    # does; a failure under another BLAS build or thread count may say that
-    # the library rounds per shape, not that receive is wrong.
+def test_receive_fills_the_buffers_it_is_given_and_refuses_bad_ones(codebook):
     model = build_model(codebook, 7, seed=3)
     rng = np.random.default_rng(8)
     model.b3[...] = rng.uniform(-0.5, 0.5, model.b3.shape)
     model.b4[...] = rng.uniform(-0.5, 0.5, model.b4.shape)
-    rows = nn.TILE_ELEMENTS // model.M
-    for B in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3):
+    for B in (0, 1, 300):
         y = 2.0 * rng.standard_normal((B, 7))
         p = model.receive(y)
         assert p.shape == (B, model.M)
-        np.testing.assert_array_equal(p, _untiled_receive(model, y), err_msg=f"B={B}")
         # into a given buffer and through a given scratch, whatever they
         # held, with the same bits
         buf = np.full((B, model.M), np.nan)
         assert model.receive(y, out=buf) is buf
         assert buf.tobytes() == p.tobytes(), f"B={B}"
         buf[...] = np.nan
-        model.receive(y, out=buf, scratch=np.full(nn.TILE_ELEMENTS, np.nan))
+        model.receive(y, out=buf, scratch=np.full(B * model.M + 5, np.nan))
         assert buf.tobytes() == p.tobytes(), f"B={B}"
     single = model.receive(y[5])
     assert single.shape == (model.M,)
-    np.testing.assert_array_equal(single, _untiled_receive(model, y[5:6])[0])
     buf = np.full(model.M, np.nan)
     assert model.receive(y[5], out=buf) is buf
     assert buf.tobytes() == single.tobytes()
-    B = len(y)
     for bad in (np.empty((B + 1, model.M)), np.empty(model.M),
                 np.empty((B, model.M), np.float32), np.empty((B, 2 * model.M))[:, ::2],
                 np.empty((model.M, B)).T):
         with pytest.raises(ShapeError):
             model.receive(y, out=bad)
-    tile = (nn.row_tiles(B, model.M)[-1].stop - nn.row_tiles(B, model.M)[-1].start) * model.M
-    for bad in (np.empty(tile - 1), np.empty(tile, np.float32), np.empty(2 * tile)[::2]):
+    size = B * model.M
+    for bad in (np.empty(size - 1), np.empty(size, np.float32), np.empty(2 * size)[::2]):
         with pytest.raises(ShapeError):
             model.receive(y, scratch=bad)
     with pytest.raises(ShapeError):
