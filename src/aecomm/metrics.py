@@ -38,15 +38,18 @@ def tile_receiver(model, rows: int):
     """
     M, n = model.M, model.n
     r = min(rows, nn.tile_rows(M))
-    block = np.empty(r * (2 * n + 2 * M))
+    block = np.empty(r * (2 * n + 2 * M + 4))
     x, y = block[:r * n].reshape(r, n), block[r * n:2 * r * n].reshape(r, n)
-    hidden, out = block[2 * r * n:].reshape(2, r, M)
+    out = block[2 * r * n:r * (2 * n + M)].reshape(r, M)
+    # the hidden layer, then the softmax's tiles and per-row buffers
+    scratch = block[r * (2 * n + M):]
+    hidden = scratch[:r * M].reshape(r, M)
 
     def receive(table, index, sigma2, rng):
         k = len(index)
         # index is in range; mode="raise" would take the rows through a copy
         xt = np.take(table, index, axis=0, out=x[:k], mode="clip")
-        p = model.receive(awgn(xt, sigma2, rng, out=y[:k]), out=out[:k], scratch=hidden)
+        p = model.receive(awgn(xt, sigma2, rng, out=y[:k]), out=out[:k], scratch=scratch)
         return p, hidden[:k]
     return receive
 

@@ -89,8 +89,9 @@ class Autoencoder:
         The result is written into `out` when given, as numpy's out=: a
         C-contiguous float64 array of the result's shape, (B, M) or (M,) for
         one vector, which is returned. Its old contents are never read.
-        `scratch`, a C-contiguous float64 array of at least B * M elements,
-        takes the hidden layer and then its softmax's transposed copy.
+        `scratch`, a C-contiguous float64 array of at least
+        B * M + 4 * min(B, nn.tile_rows(M)) elements, takes the hidden layer
+        and then its softmax's transposed tiles and per-row buffers.
         """
         yb, single = nn.as_batch(y, self.n)
         B = yb.shape[0]
@@ -101,7 +102,7 @@ class Autoencoder:
               or not out.flags.c_contiguous):
             raise ShapeError(f"out must be a C-contiguous float64 array of shape "
                              f"{shape}, got {out.dtype} {out.shape}")
-        size = B * self.M
+        size = B * self.M + 4 * min(B, nn.tile_rows(self.M))
         if scratch is None:
             scratch = np.empty(size)
         elif (scratch.dtype != np.float64 or not scratch.flags.c_contiguous
@@ -109,9 +110,9 @@ class Autoencoder:
             raise ShapeError(f"scratch must be a C-contiguous float64 array of at "
                              f"least {size} elements, got {scratch.dtype} {scratch.shape}")
         h = nn.dense(yb, self.W3, self.b3, nn.relu,
-                     out=scratch.reshape(-1)[:size].reshape(B, self.M))
+                     out=scratch.reshape(-1)[:B * self.M].reshape(B, self.M))
         nn.softmax(nn.dense(h, self.W4, self.b4, out=out.reshape(B, self.M)),
-                   overwrite=True, scratch=h)
+                   overwrite=True, scratch=scratch)
         return out
 
     def params_checksum(self) -> str:

@@ -23,6 +23,12 @@ ADAM_EPSILON = 1e-8
 DEGENERATE_NORM_FLOOR = 1e-12
 # row tiles of at most this many float64 elements (512 KB) stay in cache
 TILE_ELEMENTS = 1 << 16
+# numpy loops over each row of a 2-D array on its own, so rows of at most
+# SHORT_ROW elements are worked as long runs instead (softmax, dense): down
+# the columns of a transposed tile, or as several rows at once at least
+# BIAS_RUN elements long
+SHORT_ROW = 16
+BIAS_RUN = 512
 
 
 def param_shapes(M: int, n: int) -> tuple:
@@ -93,21 +99,75 @@ def row_reduce(ufunc: np.ufunc, rows: np.ndarray, scratch=None) -> np.ndarray:
     return out
 
 
+def _column_sums(t: np.ndarray, out: np.ndarray, spare) -> np.ndarray:
+    """np.add.reduce(t, axis=0) for t of at most SHORT_ROW rows, with the
+    bits numpy gives each row of t.T summed alone (its pairwise_sum): below 8
+    elements one by one; from 8, accumulators r_j = t[j], plus t[j + 8] when
+    a second block of 8 is full, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the rest one by one. spare is three rows of t's width."""
+    n = t.shape[0]
+    if n < 8:
+        np.copyto(out, t[0])
+        for row in t[1:]:
+            out += row
+        return out
+    a, b, c = spare
+
+    def r(j, buf):
+        return np.add(t[j], t[j + 8], out=buf) if n == 16 else t[j]
+
+    def pair(j, buf, tmp):
+        return np.add(r(j, buf), r(j + 1, tmp), out=buf)
+
+    np.add(pair(0, out, a), pair(2, a, b), out=out)
+    out += np.add(pair(4, a, b), pair(6, b, c), out=a)
+    for row in t[n - n % 8:]:
+        out += row
+    return out
+
+
 def softmax(z: np.ndarray, overwrite: bool = False, scratch=None) -> np.ndarray:
     """Row-wise softmax with max subtraction for overflow safety.
 
-    overwrite=True lets the result replace z, saving a temporary; scratch
-    is row_reduce's.
+    overwrite=True lets the result replace z, saving a temporary. scratch, a
+    C-contiguous float64 array of at least min(rows, tile_rows(M)) * (M + 4)
+    elements, takes the transposed tiles and four per-row buffers.
 
-    The row max comes from row_reduce; where +0 and -0 tie for it, z - max
-    differs at most in the sign of a zero, which exp maps to 1 either way.
+    The row max is reduced down the columns of a transposed copy, tile by
+    tile (row_reduce); where +0 and -0 tie for it, z - max differs at most in
+    the sign of a zero, which exp maps to 1 either way. Rows of at most
+    SHORT_ROW elements in a 1-D or 2-D array go through the rest on that copy
+    too: subtract, exp, sum (_column_sums, numpy's order for a row) and
+    divide, then one copy back.
     """
     z = np.asarray(z, dtype=np.float64)
-    zmax = row_reduce(np.maximum, z.reshape(-1, z.shape[-1]), scratch)
-    e = np.subtract(z, zmax.reshape(z.shape[:-1] + (1,)), out=z if overwrite else None)
-    np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e
+    M = z.shape[-1]
+    if M > SHORT_ROW or z.ndim > 2:
+        zmax = row_reduce(np.maximum, z.reshape(-1, M), scratch)
+        e = np.subtract(z, zmax.reshape(z.shape[:-1] + (1,)), out=z if overwrite else None)
+        np.exp(e, out=e)
+        e /= np.add.reduce(e, axis=-1, keepdims=True)
+        return e
+    out = z if overwrite else np.empty(z.shape)
+    rows, result = z.reshape(-1, M), out.reshape(-1, M)
+    step = tile_rows(M)
+    r = min(rows.shape[0], step)
+    if scratch is None:
+        scratch = np.empty(r * (M + 4))
+    flat = scratch.reshape(-1)
+    per_row = flat[r * M:r * (M + 4)].reshape(4, r)
+    for i in range(0, rows.shape[0], step):
+        block = rows[i:i + step]
+        k = block.shape[0]
+        t = flat[:block.size].reshape(M, k)
+        np.copyto(t, block.T)
+        zmax, total, a, b = per_row[:, :k]
+        t -= np.maximum.reduce(t, axis=0, out=zmax)
+        np.exp(t, out=t)
+        # the max is spent, so its row is the third spare
+        t /= _column_sums(t, total, (a, b, zmax))
+        np.copyto(result[i:i + k], t.T)
+    return out
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -121,7 +181,16 @@ def dense(x: np.ndarray, W: np.ndarray, b: np.ndarray, activation=None,
     on the product, which belongs to this call or is written into `out`.
     activation is relu or None (linear)."""
     z = np.matmul(x, W.T, out=out)
-    z += b
+    M = z.shape[-1]
+    whole = 0
+    if 0 < M <= SHORT_ROW and z.ndim == 2 and z.flags.c_contiguous:
+        # runs rows at a time, each run one row of a reshaped view
+        runs = -(-BIAS_RUN // M)
+        whole = z.shape[0] // runs * runs
+        if whole:
+            head = z[:whole].reshape(-1, runs * M)
+            head += b[None].repeat(runs, axis=0).reshape(-1)
+    z[whole:] += b
     if activation is relu:
         return relu(z)
     return z

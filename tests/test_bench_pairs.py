@@ -62,3 +62,41 @@ def test_median_change_is_none_when_the_parent_median_is_zero():
     change = _runs("trace.overhead_s", [0.5, 0.5, 0.5])
     s = bench_pairs.summarize(parent, change, {"trace.overhead_s": "lower"})
     assert s["trace.overhead_s"]["median_change_pct"] is None
+
+
+def _verdict(parent, change, better="lower", bound=0.2):
+    s = bench_pairs.summarize(_runs("pass_cost", parent), _runs("pass_cost", change),
+                              {"pass_cost": better}, {"pass_cost": bound})
+    return s["pass_cost"]["verdict"]
+
+
+def test_verdict_gain_needs_nine_of_ten_wins_and_a_shift_beyond_the_parent_iqr():
+    parent = [10.0, 10.1, 9.9, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0, 10.05]
+    # parent IQR 0.15; every pair won by 0.5
+    assert _verdict(parent, [p - 0.5 for p in parent]) == "gain"
+    # 9 of 10 pairs won is enough, 8 is not
+    nine = [p - 0.5 for p in parent[:9]] + [parent[9] + 0.1]
+    assert _verdict(parent, nine) == "gain"
+    eight = [p - 0.5 for p in parent[:8]] + [p + 0.1 for p in parent[8:]]
+    assert _verdict(parent, eight) == "flat"
+    # every pair won, but by less than the parent's IQR
+    assert _verdict(parent, [p - 0.01 for p in parent]) == "flat"
+    # higher is better: the same shift downwards is no gain
+    assert _verdict(parent, [p + 0.5 for p in parent], better="higher") == "gain"
+    assert _verdict(parent, [p - 0.5 for p in parent], better="higher") == "flat"
+
+
+def test_verdict_worse_is_a_median_beyond_the_bound():
+    parent = [10.0, 10.1, 9.9, 10.2, 9.8]
+    assert _verdict(parent, [p * 1.25 for p in parent]) == "worse"
+    assert _verdict(parent, [p * 1.15 for p in parent]) == "flat"
+    assert _verdict(parent, [p * 0.75 for p in parent], better="higher") == "worse"
+    # the bound is a fraction of the parent's median
+    assert _verdict(parent, [p * 1.15 for p in parent], bound=0.1) == "worse"
+
+
+def test_verdict_is_unresolved_when_the_parent_iqr_is_wider_than_the_bound():
+    parent = [6.0, 8.0, 10.0, 12.0, 14.0]  # IQR 4 against a bound of 2
+    assert _verdict(parent, [p + 0.5 for p in parent]) == "unresolved"
+    # a median beyond the bound still reads worse
+    assert _verdict(parent, [p + 2.5 for p in parent]) == "worse"

@@ -8,6 +8,7 @@ from aecomm.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPSILON,
+    BIAS_RUN,
     DEGENERATE_NORM_FLOOR,
     AdamState,
     Workspace,
@@ -21,6 +22,7 @@ from aecomm.nn import (
     row_reduce,
     softmax,
     split,
+    tile_rows,
 )
 
 
@@ -85,6 +87,29 @@ def test_training_forward_matches_receive_bit_for_bit():
     np.testing.assert_array_equal(p_train, model.receive(x + noise))
 
 
+def _bias_runs(M):
+    """Rows per run of dense's short-row bias add."""
+    return -(-BIAS_RUN // M)
+
+
+@pytest.mark.parametrize("M", [*range(1, 21), 64])
+@pytest.mark.parametrize("rows", [lambda r: 1, lambda r: r - 1, lambda r: r,
+                                  lambda r: r + 1, lambda r: 3 * r + 5],
+                         ids=["1", "runs-1", "runs", "runs+1", "3runs+5"])
+def test_dense_equals_product_plus_bias_bit_for_bit(M, rows):
+    rng = np.random.default_rng(M)
+    B = rows(_bias_runs(M))
+    x = rng.normal(scale=3.0, size=(B, 7))
+    W = glorot_uniform(M, 7, rng)
+    b = rng.normal(size=M)
+    b[::4] = -0.0
+    expected = (np.matmul(x, W.T) + b).view(np.uint64)
+    np.testing.assert_array_equal(dense(x, W, b).view(np.uint64), expected)
+    out = np.full((B, M), np.nan)
+    assert dense(x, W, b, out=out) is out
+    np.testing.assert_array_equal(out.view(np.uint64), expected)
+
+
 def test_dense_rejects_bad_shapes():
     model = build_model(build_onehot(8), 7, seed=0)
     with pytest.raises(ShapeError):
@@ -113,8 +138,15 @@ def _softmax_row_by_row_max(z, overwrite=False):
     return e
 
 
+# short rows (nn.SHORT_ROW) of every summation order numpy uses, in one
+# tile of 1 or 2 rows and over more than one tile
+SHORT_ROW_SHAPES = [(rows(w), w) for w in (2, 3, 4, 7, 8, 9, 15, 16, 17)
+                    for rows in (lambda w: 1, lambda w: 2, lambda w: tile_rows(w) + 3)]
+
+
 @pytest.mark.parametrize("overwrite", [False, True])
-@pytest.mark.parametrize("shape", [(9,), (1,), (5, 1), (7, 8), (3000, 64), (20000, 16)])
+@pytest.mark.parametrize("shape", [(9,), (1,), (5, 1), (7, 8), (3000, 64), (20000, 16)]
+                         + SHORT_ROW_SHAPES)
 def test_softmax_column_wise_max_equals_row_by_row_max_bit_for_bit(shape, overwrite):
     rng = np.random.default_rng(len(shape) * 100 + shape[-1])
     z = rng.normal(scale=5.0, size=shape)

@@ -10,8 +10,8 @@ runs on both sides before the next seed; odd seeds run the parent first
 and even seeds the change first. Per workload and end-to-end metric of
 BENCHMARK.json the record holds every run, the pairs each side won (a tie
 counts for neither), numpy linear quartiles, the median change in percent
-and the parent's interquartile range. The record is written to the current
-directory.
+and the parent's interquartile range, and a verdict against the metric's
+`bound` (verdict). The record is written to the current directory.
 
 --trace also runs `perfbench/run.py ... --trace 1` on both sides, in the
 same side order, after each seed's gated runs of a workload, and summarizes
@@ -82,10 +82,29 @@ def quartiles(values) -> list[float]:
     return [_round(q) for q in np.percentile(values, [25, 50, 75])]
 
 
-def summarize(parent: list[dict], change: list[dict], metrics: dict[str, str]) -> dict:
+def verdict(s: dict, better: str, bound: float) -> str:
+    """One summarized metric against its bound, a fraction of the parent's
+    median: "gain" when the change wins at least 9 of 10 pairs and its median
+    is better by more than the parent's IQR; else "worse" when its median is
+    worse by more than the bound; else "unresolved" when the parent's IQR is
+    wider than the bound; else "flat"."""
+    parent, change = s["parent_q1_median_q3"][1], s["change_q1_median_q3"][1]
+    gain = (parent - change) if better == "lower" else (change - parent)
+    if 10 * s["change_wins"] >= 9 * s["pairs"] and gain > s["parent_iqr"]:
+        return "gain"
+    if -gain > bound * abs(parent):
+        return "worse"
+    if s["parent_iqr"] > bound * abs(parent):
+        return "unresolved"
+    return "flat"
+
+
+def summarize(parent: list[dict], change: list[dict], metrics: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per metric (name -> its better direction, "lower" or "higher") of
-    paired runs: wins, quartiles, median change and parent IQR. A metric
-    that reads 0 on every run of both sides is left out."""
+    paired runs: wins, quartiles, median change and parent IQR, and the
+    verdict of each metric given a bound. A metric that reads 0 on every
+    run of both sides is left out."""
     summary = {}
     for metric, better in metrics.items():
         a = [r[metric] for r in parent]
@@ -103,6 +122,8 @@ def summarize(parent: list[dict], change: list[dict], metrics: dict[str, str]) -
             "median_change_pct": round(100.0 * (cq[1] - pq[1]) / pq[1], 1) if pq[1] else None,
             "parent_iqr": _round(pq[2] - pq[0]),
         }
+        if bounds and metric in bounds:
+            summary[metric]["verdict"] = verdict(summary[metric], better, bounds[metric])
     return summary
 
 
@@ -122,6 +143,7 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     better = {kind: {m["name"]: m["better"] for m in bench[kind]}
               for kind in ("end_to_end", "per_layer")}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     workloads = args.workloads.split(",")
     traces = (0, 1) if args.trace else (0,)
     runs = {w: {t: {side: [] for side in SIDES} for t in traces} for w in workloads}
@@ -140,7 +162,8 @@ def main(argv=None) -> int:
                           file=sys.stderr, flush=True)
 
     def entry(r: dict) -> dict:
-        out = {"summary": summarize(r[0]["parent"], r[0]["change"], better["end_to_end"]),
+        out = {"summary": summarize(r[0]["parent"], r[0]["change"], better["end_to_end"],
+                                    bounds),
                "failed_total": {side: sum(x["failed"] for t in traces for x in r[t][side])
                                 for side in SIDES},
                **r[0]}
@@ -164,7 +187,12 @@ def main(argv=None) -> int:
                     + ("; each workload's traced runs follow its gated runs in the "
                        "same side order" if args.trace else "")
                     + ". Quartiles are numpy linear percentiles; a pair is won by the "
-                    "side with the better value, ties count for neither.",
+                    "side with the better value, ties count for neither. verdict: gain "
+                    "if the change wins at least 9 of 10 pairs and its median is better "
+                    "by more than the parent's IQR; else worse if its median is worse "
+                    "by more than the metric's bound (a fraction of the parent's "
+                    "median); else unresolved if the parent's IQR is wider than the "
+                    "bound; else flat.",
         "environment": env,
         "workloads": {w: entry(r) for w, r in runs.items()},
     }
