@@ -87,18 +87,12 @@ def test_training_forward_matches_receive_bit_for_bit():
     np.testing.assert_array_equal(p_train, model.receive(x + noise))
 
 
-def _bias_runs(M):
-    """Rows per run of dense's short-row bias add."""
-    return -(-BIAS_RUN // M)
-
-
 @pytest.mark.parametrize("M", [*range(1, 21), 64])
-@pytest.mark.parametrize("rows", [lambda r: 1, lambda r: r - 1, lambda r: r,
-                                  lambda r: r + 1, lambda r: 3 * r + 5],
-                         ids=["1", "runs-1", "runs", "runs+1", "3runs+5"])
-def test_dense_equals_product_plus_bias_bit_for_bit(M, rows):
+@pytest.mark.parametrize("runs, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
+def test_dense_equals_product_plus_bias_bit_for_bit(M, runs, extra):
+    # B = runs * (rows per run of the short-row bias add) + extra
     rng = np.random.default_rng(M)
-    B = rows(_bias_runs(M))
+    B = runs * -(-BIAS_RUN // M) + extra
     x = rng.normal(scale=3.0, size=(B, 7))
     W = glorot_uniform(M, 7, rng)
     b = rng.normal(size=M)
@@ -140,8 +134,8 @@ def _softmax_row_by_row_max(z, overwrite=False):
 
 # short rows (nn.SHORT_ROW) of every summation order numpy uses, in one
 # tile of 1 or 2 rows and over more than one tile
-SHORT_ROW_SHAPES = [(rows(w), w) for w in (2, 3, 4, 7, 8, 9, 15, 16, 17)
-                    for rows in (lambda w: 1, lambda w: 2, lambda w: tile_rows(w) + 3)]
+SHORT_ROW_SHAPES = [(rows, w) for w in (2, 3, 4, 7, 8, 9, 15, 16, 17)
+                    for rows in (1, 2, tile_rows(w) + 3)]
 
 
 @pytest.mark.parametrize("overwrite", [False, True])
