@@ -11,7 +11,7 @@ and even seeds the change first. Per workload and end-to-end metric of
 BENCHMARK.json the record holds every run, the pairs each side won (a tie
 counts for neither), numpy linear quartiles, the median change in percent
 and the parent's interquartile range, and a verdict against the metric's
-`bound` (verdict). The record is written to the current directory.
+`bound` (see `verdict`). The record is written to the current directory.
 
 --trace also runs `perfbench/run.py ... --trace 1` on both sides, in the
 same side order, after each seed's gated runs of a workload, and summarizes
