@@ -48,20 +48,17 @@ def probe_mses(model, spec: ChannelSpec, K: int, rng) -> np.ndarray:
     """
     if K < 1:
         raise DomainError(f"probes per vector must be >= 1, got {K}")
-    entries = model.codebook.entries
-    count = entries.shape[0]
-    x = model.transmit(entries)
+    codebook = model.codebook
+    count = len(codebook)
     total = np.zeros(count)
     rows = K * count
     r = min(rows, nn.tile_rows(model.M))
     # a batch from row `start` probes index[start % count:], cut to its length
     index = np.arange(count + r) % count
-    receive = metrics.tile_receiver(model, rows)
+    receive, square_error = metrics.tile_receiver(model, codebook, spec.sigma2, rows)
     for start in range(0, rows, r):
         at = index[start % count:][:min(r, rows - start)]
-        p, spare = receive(x, at, spec.sigma2, rng)
-        p -= np.take(entries, at, axis=0, out=spare, mode="clip")
-        np.square(p, out=p)
+        p = square_error(receive(at, rng), at)
         # unbuffered, in row order: each entry's total grows in probe order
         np.add.at(total, at, np.add.reduce(p, axis=1))
     return total / K

@@ -349,6 +349,10 @@ def main(argv: list[str] | None = None) -> int:
         message = e.args[0] if e.args else str(e)
         print(f"error: {type(e).__name__}: {message}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        # numpy's args[0] is the shape tuple; its str is the sentence
+        print(f"error: MemoryError: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,6 +26,13 @@ MAX_ENTRIES = 1 << 20
 MASK_TABLE_BYTES = 1 << 19
 
 
+def _check_vector_size(M: int) -> None:
+    """Refuse a vector size beyond the 64 bits of a uint64 support mask
+    (the decode lookup), before anything of that size is allocated."""
+    if M > 64:
+        raise DomainError(f"vector size {M} exceeds the 64 supported by decode lookup")
+
+
 class Codebook:
     """Immutable set of transmit vectors with decode lookup tables.
 
@@ -39,6 +46,7 @@ class Codebook:
 
     def __init__(self, M: int, m: int, supports, selection: str = "lexicographic",
                  selection_seed=None):
+        _check_vector_size(M)
         supports = np.asarray(supports, dtype=np.int64)
         if supports.ndim != 2 or supports.shape[1] != m:
             raise ShapeError(f"supports must be (count, {m}), got {supports.shape}")
@@ -56,9 +64,7 @@ class Codebook:
         rows = np.repeat(np.arange(count), m)
         entries[rows, supports.ravel()] = 1.0 / m
         self.entries = entries
-        # uint64 bitmask per support set, for the decode lookup (needs M <= 64)
-        if M > 64:
-            raise DomainError(f"vector size {M} exceeds the 64 supported by decode lookup")
+        # uint64 bitmask per support set, for the decode lookup
         masks = np.bitwise_or.reduce(
             np.left_shift(np.uint64(1), supports.astype(np.uint64)), axis=1
         )
@@ -99,6 +105,7 @@ def build_onehot(M: int) -> Codebook:
         raise DomainError(f"one-hot vector size must be a power of two, got {M}")
     if M not in PAPER_VECTOR_SIZES:
         warnings.warn(f"vector size M={M} is outside the validated range {PAPER_VECTOR_SIZES}")
+    _check_vector_size(M)
     supports = np.arange(M, dtype=np.int64)[:, None]
     return Codebook(M, 1, supports)
 
@@ -114,6 +121,7 @@ def build_gdr(M: int, m: int, selection: str = "lexicographic",
     A random selection needs a seed: without one the codebook could not be
     rebuilt from a checkpoint.
     """
+    _check_vector_size(M)
     if m < 1 or m > M // 2:
         raise DomainError(f"order m={m} outside [1, {M // 2}] for M={M}")
     total = comb(M, m)

@@ -24,11 +24,14 @@ MIN_ERROR_EVENTS = 100
 CHUNK_BLOCKS = 1 << 16
 
 
-def tile_receiver(model, rows: int):
-    """The channel and the model's receiver for batches of up to `rows`
-    rows, at most nn.tile_rows(model.M): receive(table, index, sigma2, rng)
-    returns (p, spare), the softmax output of awgn(table[index]) and a free
-    array of its shape, views into buffers that the next call overwrites.
+def tile_receiver(model, codebook: Codebook, sigma2: float, rows: int):
+    """The channel and the model's receiver for batches of messages of
+    `codebook`, each of at most min(rows, nn.tile_rows(model.M)) rows.
+    receive(ids, rng) returns p, the softmax output of awgn(table[ids]), a
+    view into a buffer that the next call overwrites; the symbol table is
+    transmit(entries), computed once, in CHUNK_BLOCKS slices.
+    square_error(p, ids) overwrites p with (p - s)**2, s the ids' entries,
+    and returns it.
 
     The buffers are one block, reused by every batch: freeing a block above
     glibc's mmap threshold raises that threshold to its size and the heap
@@ -37,21 +40,33 @@ def tile_receiver(model, rows: int):
     again. Separate buffers cost a thousand page faults or more a call.
     """
     M, n = model.M, model.n
+    table = np.concatenate([model.transmit(codebook.entries[i:i + CHUNK_BLOCKS])
+                            for i in range(0, len(codebook), CHUNK_BLOCKS)])
     r = min(rows, nn.tile_rows(M))
-    block = np.empty(r * (2 * n + 2 * M + 4))
+    block = np.empty(r * (2 * n + 2 * M))
     x, y = block[:r * n].reshape(r, n), block[r * n:2 * r * n].reshape(r, n)
     out = block[2 * r * n:r * (2 * n + M)].reshape(r, M)
-    # the hidden layer, then the softmax's tiles and per-row buffers
+    # the hidden layer, then the softmax's tiles
     scratch = block[r * (2 * n + M):]
-    hidden = scratch[:r * M].reshape(r, M)
+    # each message's support elements as flat indices into p
+    support = np.empty((r, codebook.m), dtype=np.int64)
+    offsets = np.arange(0, r * M, M)[:, None]
 
-    def receive(table, index, sigma2, rng):
-        k = len(index)
-        # index is in range; mode="raise" would take the rows through a copy
-        xt = np.take(table, index, axis=0, out=x[:k], mode="clip")
-        p = model.receive(awgn(xt, sigma2, rng, out=y[:k]), out=out[:k], scratch=scratch)
-        return p, hidden[:k]
-    return receive
+    def receive(ids, rng):
+        k = len(ids)
+        # ids are in range; mode="raise" would take the rows through a copy
+        xt = np.take(table, ids, axis=0, out=x[:k], mode="clip")
+        return model.receive(awgn(xt, sigma2, rng, out=y[:k]), out=out[:k], scratch=scratch)
+
+    def square_error(p, ids):
+        # s is 1/m on each message's support and 0 elsewhere; each support
+        # element is one flat index, touched once
+        k = len(ids)
+        at = np.take(codebook.supports, ids, axis=0, out=support[:k], mode="clip")
+        at += offsets[:k]
+        np.subtract.at(p.reshape(-1), at, 1.0 / codebook.m)
+        return np.square(p, out=p)
+    return receive, square_error
 
 
 def chunk_sizes(total: int, name: str, chunk: int = CHUNK_BLOCKS):
@@ -107,40 +122,25 @@ def estimate_bler(model, codebook: Codebook | None, spec: ChannelSpec,
 
     BER uses gray-coded message labels over the codebook's bits_per_message.
     MSE is the mean squared reconstruction error of the softmax output.
-    The transmitter output depends only on the message id, so it is
-    computed once per call for every entry, in CHUNK_BLOCKS slices, and
-    gathered per block. The blocks go in chunks of nn.tile_rows(M), each
-    drawn, received, decoded and squared whole (tile_receiver).
+    The blocks go in chunks of nn.tile_rows(M), each drawn, received,
+    decoded and squared whole (tile_receiver).
     """
-    rows = nn.tile_rows(model.M)
-    sizes = chunk_sizes(blocks, "blocks", rows)
+    sizes = chunk_sizes(blocks, "blocks", nn.tile_rows(model.M))
     if codebook is None:
         codebook = model.codebook
     if scheme is None:
         scheme = "onehot" if codebook.m == 1 else "gdr"
-    count = len(codebook)
-    table = np.concatenate([model.transmit(codebook.entries[i:i + CHUNK_BLOCKS])
-                            for i in range(0, count, CHUNK_BLOCKS)])
-    receive = tile_receiver(model, blocks)
-    # each block's support elements as flat indices into the chunk's output
-    r = min(blocks, rows)
-    support = np.empty((r, codebook.m), dtype=np.int64)
-    offsets = np.arange(0, r * model.M, model.M)[:, None]
+    receive, square_error = tile_receiver(model, codebook, spec.sigma2, blocks)
 
     block_errors = bit_errors = 0
     mse_sum = 0.0
     for b in sizes:
-        ids = rng.integers(0, count, size=b)
-        p, _ = receive(table, ids, spec.sigma2, rng)
+        ids = rng.integers(0, len(codebook), size=b)
+        p = receive(ids, rng)
         ids_hat = decode_batch(p, codebook)
         block_errors += int(np.count_nonzero(ids_hat != ids))
         bit_errors += int(gray_bit_errors(ids, ids_hat).sum())
-        # p - s in place: s is 1/m on each block's support and 0
-        # elsewhere; each support element is one flat index, touched once
-        at = np.take(codebook.supports, ids, axis=0, out=support[:b], mode="clip")
-        at += offsets[:b]
-        np.subtract.at(p.reshape(-1), at, 1.0 / codebook.m)
-        mse_sum += float(np.sum(np.square(p, out=p)))
+        mse_sum += float(np.sum(square_error(p, ids)))
 
     bits = blocks * codebook.bits_per_message
     return MetricRecord(

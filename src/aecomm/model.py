@@ -89,9 +89,8 @@ class Autoencoder:
         The result is written into `out` when given, as numpy's out=: a
         C-contiguous float64 array of the result's shape, (B, M) or (M,) for
         one vector, which is returned. Its old contents are never read.
-        `scratch`, a C-contiguous float64 array of at least
-        B * M + 4 * min(B, nn.tile_rows(M)) elements, takes the hidden layer
-        and then its softmax's transposed tiles and per-row buffers.
+        `scratch`, a C-contiguous float64 array of at least B * M elements,
+        takes the hidden layer and then its softmax's transposed tiles.
         """
         yb, single = nn.as_batch(y, self.n)
         B = yb.shape[0]
@@ -102,7 +101,7 @@ class Autoencoder:
               or not out.flags.c_contiguous):
             raise ShapeError(f"out must be a C-contiguous float64 array of shape "
                              f"{shape}, got {out.dtype} {out.shape}")
-        size = B * self.M + 4 * min(B, nn.tile_rows(self.M))
+        size = B * self.M
         if scratch is None:
             scratch = np.empty(size)
         elif (scratch.dtype != np.float64 or not scratch.flags.c_contiguous

@@ -130,19 +130,20 @@ def softmax(z: np.ndarray, overwrite: bool = False, scratch=None) -> np.ndarray:
     """Row-wise softmax with max subtraction for overflow safety.
 
     overwrite=True lets the result replace z, saving a temporary. scratch, a
-    C-contiguous float64 array of at least min(rows, tile_rows(M)) * (M + 4)
-    elements, takes the transposed tiles and four per-row buffers.
+    C-contiguous float64 array of at least min(rows, tile_rows(M)) * M
+    elements, takes the transposed tiles.
 
     The row max is reduced down the columns of a transposed copy, tile by
     tile (row_reduce); where +0 and -0 tie for it, z - max differs at most in
-    the sign of a zero, which exp maps to 1 either way. Rows of at most
+    the sign of a zero, which exp maps to 1 either way. Rows of 4 to
     SHORT_ROW elements in a 1-D or 2-D array go through the rest on that copy
     too: subtract, exp, sum (_column_sums, numpy's order for a row) and
-    divide, then one copy back.
+    divide, then one copy back. Until that copy the tile's output rows are
+    dead, so they hold its four per-row buffers.
     """
     z = np.asarray(z, dtype=np.float64)
     M = z.shape[-1]
-    if M > SHORT_ROW or z.ndim > 2:
+    if not 4 <= M <= SHORT_ROW or z.ndim > 2:
         zmax = row_reduce(np.maximum, z.reshape(-1, M), scratch)
         e = np.subtract(z, zmax.reshape(z.shape[:-1] + (1,)), out=z if overwrite else None)
         np.exp(e, out=e)
@@ -151,17 +152,17 @@ def softmax(z: np.ndarray, overwrite: bool = False, scratch=None) -> np.ndarray:
     out = z if overwrite else np.empty(z.shape)
     rows, result = z.reshape(-1, M), out.reshape(-1, M)
     step = tile_rows(M)
-    r = min(rows.shape[0], step)
     if scratch is None:
-        scratch = np.empty(r * (M + 4))
+        scratch = np.empty(min(rows.shape[0], step) * M)
     flat = scratch.reshape(-1)
-    per_row = flat[r * M:r * (M + 4)].reshape(4, r)
     for i in range(0, rows.shape[0], step):
         block = rows[i:i + step]
         k = block.shape[0]
         t = flat[:block.size].reshape(M, k)
         np.copyto(t, block.T)
-        zmax, total, a, b = per_row[:, :k]
+        # a view of the dead rows, or a copy of them where a strided
+        # result cannot be flattened in place
+        zmax, total, a, b = result[i:i + k].reshape(-1)[:4 * k].reshape(4, k)
         t -= np.maximum.reduce(t, axis=0, out=zmax)
         np.exp(t, out=t)
         # the max is spent, so its row is the third spare

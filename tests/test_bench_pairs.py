@@ -100,3 +100,20 @@ def test_verdict_is_unresolved_when_the_parent_iqr_is_wider_than_the_bound():
     assert _verdict(parent, [p + 0.5 for p in parent]) == "unresolved"
     # a median beyond the bound still reads worse
     assert _verdict(parent, [p + 2.5 for p in parent]) == "worse"
+
+
+def _ops(*pairs):
+    return [{"failed": f, "attempted": a} for f, a in pairs]
+
+
+def test_failed_share_pools_each_sides_runs_and_a_higher_change_share_is_worse():
+    parent = _ops((1, 100), (0, 300))
+    s = bench_pairs.failed_share(parent, _ops((0, 200), (2, 200)))
+    assert (s["parent"], s["change"], s["verdict"]) == (0.0025, 0.005, "worse")
+    # the share, not the count: more failures over more operations is no worse
+    s = bench_pairs.failed_share(parent, _ops((2, 800), (0, 800)))
+    assert (s["change"], s["verdict"]) == (0.00125, "ok")
+    assert bench_pairs.failed_share(parent, parent)["verdict"] == "ok"
+    # nothing attempted reads as no failure
+    s = bench_pairs.failed_share(_ops((0, 0)), _ops((0, 5)))
+    assert (s["parent"], s["change"], s["verdict"]) == (0.0, 0.0, "ok")

@@ -426,6 +426,23 @@ class TestCliWorkflow:
             assert err.startswith("error: ConfigError: learning_rate") and err.count("\n") == 1
             assert list(tmp_path.iterdir()) == [], rate
 
+    def test_sizes_beyond_the_address_space_are_one_line_errors(self, capsys, tmp_path):
+        # no allocation of these sizes can succeed (47-bit address space),
+        # whatever the overcommit policy
+        out = tmp_path / "t.ckpt"
+        M = 2 ** 50
+        with pytest.warns(UserWarning, match="validated range"):
+            assert run_cli("train", "--M", M, "--snr-db", 5, "--out", out) == 2
+        refused = f"error: DomainError: vector size {M} exceeds the 64 supported by decode lookup\n"
+        assert capsys.readouterr().err == refused
+        assert run_cli("train", "--codebook", "gdr", "--M", M, "--m", 4,
+                       "--snr-db", 5, "--out", out) == 2
+        assert capsys.readouterr().err == refused
+        assert run_cli("train", "--n", 10 ** 13, "--snr-db", 5, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MemoryError: Unable to allocate") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_infinite_snr_is_the_noiseless_point(self, tmp_path):
         ckpt = tmp_path / "m4.ckpt"
         assert run_cli("train", "--M", 4, "--epochs", 1, "--train-samples", 200,

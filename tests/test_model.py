@@ -507,8 +507,7 @@ def test_receive_fills_the_buffers_it_is_given_and_refuses_bad_ones(codebook):
         assert model.receive(y, out=buf) is buf
         assert buf.tobytes() == p.tobytes(), f"B={B}"
         buf[...] = np.nan
-        size = B * model.M + 4 * min(B, nn.tile_rows(model.M))
-        model.receive(y, out=buf, scratch=np.full(size + 5, np.nan))
+        model.receive(y, out=buf, scratch=np.full(B * model.M + 5, np.nan))
         assert buf.tobytes() == p.tobytes(), f"B={B}"
     single = model.receive(y[5])
     assert single.shape == (model.M,)
@@ -520,6 +519,7 @@ def test_receive_fills_the_buffers_it_is_given_and_refuses_bad_ones(codebook):
                 np.empty((model.M, B)).T):
         with pytest.raises(ShapeError):
             model.receive(y, out=bad)
+    size = B * model.M
     for bad in (np.empty(size - 1), np.empty(size, np.float32), np.empty(2 * size)[::2]):
         with pytest.raises(ShapeError):
             model.receive(y, scratch=bad)

@@ -152,14 +152,20 @@ def test_softmax_column_wise_max_equals_row_by_row_max_bit_for_bit(shape, overwr
         z[4::11] = -np.inf  # every entry -inf: NaN on both sides
     else:
         z[::2] = -0.0
-    a, b = z.copy(), z.copy()
-    with np.errstate(invalid="ignore"):
-        got = softmax(a, overwrite=overwrite)
-        expected = _softmax_row_by_row_max(b, overwrite=overwrite)
-    assert got.shape == z.shape
-    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
-    np.testing.assert_array_equal(a.view(np.uint64),
-                                  (got if overwrite else z).view(np.uint64))
+    # contiguous, and every other column of a wider array: a strided
+    # result holds the short-row path's per-row buffers too
+    wide = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+    strided = wide[..., ::2]
+    for a in (z.copy(), strided):
+        a[...] = z
+        b = z.copy()
+        with np.errstate(invalid="ignore"):
+            got = softmax(a, overwrite=overwrite)
+            expected = _softmax_row_by_row_max(b, overwrite=overwrite)
+        assert got.shape == z.shape
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(a.view(np.uint64),
+                                      (got if overwrite else z).view(np.uint64))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (5, 1), (7, 4), (3000, 64), (20000, 16)])

@@ -11,7 +11,9 @@ and even seeds the change first. Per workload and end-to-end metric of
 BENCHMARK.json the record holds every run, the pairs each side won (a tie
 counts for neither), numpy linear quartiles, the median change in percent
 and the parent's interquartile range, and a verdict against the metric's
-`bound` (see `verdict`). The record is written to the current directory.
+`bound` (see `verdict`), and each side's share of failed operations over
+its gated runs, "worse" when the change's is higher (see `failed_share`).
+The record is written to the current directory.
 
 --trace also runs `perfbench/run.py ... --trace 1` on both sides, in the
 same side order, after each seed's gated runs of a workload, and summarizes
@@ -99,6 +101,15 @@ def verdict(s: dict, better: str, bound: float) -> str:
     return "flat"
 
 
+def failed_share(parent: list[dict], change: list[dict]) -> dict:
+    """Each side's failed operations as a share of those it attempted, over
+    its runs, and a verdict: "worse" when the change's share is higher than
+    the parent's, else "ok". A side that attempted nothing has a share of 0."""
+    share = {side: sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
+             for side, runs in zip(SIDES, (parent, change))}
+    return {**share, "verdict": "worse" if share["change"] > share["parent"] else "ok"}
+
+
 def summarize(parent: list[dict], change: list[dict], metrics: dict[str, str],
               bounds: dict[str, float] | None = None) -> dict:
     """Per metric (name -> its better direction, "lower" or "higher") of
@@ -166,6 +177,7 @@ def main(argv=None) -> int:
                                     bounds),
                "failed_total": {side: sum(x["failed"] for t in traces for x in r[t][side])
                                 for side in SIDES},
+               "failed_share": failed_share(r[0]["parent"], r[0]["change"]),
                **r[0]}
         if args.trace:
             out["traced"] = r[1]
@@ -192,7 +204,8 @@ def main(argv=None) -> int:
                     "by more than the parent's IQR; else worse if its median is worse "
                     "by more than the metric's bound (a fraction of the parent's "
                     "median); else unresolved if the parent's IQR is wider than the "
-                    "bound; else flat.",
+                    "bound; else flat. failed_share: failed over attempted operations "
+                    "of each side's gated runs, worse if the change's is higher.",
         "environment": env,
         "workloads": {w: entry(r) for w, r in runs.items()},
     }
