@@ -16,7 +16,7 @@ import numpy as np
 from .codebooks import Codebook
 from .errors import DomainError, SingularityError
 from .metrics import chunk_sizes
-from .nn import row_reduce, softmax
+from .nn import dense, row_reduce, softmax
 
 DEFAULT_TAYLOR_ORDER = 20
 DEFAULT_U_MIN = 1e-3
@@ -100,7 +100,7 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
         codebook = model.codebook
     W_r, b_r = model.W3, model.b3
     x = model.transmit(codebook.entries)
-    u0 = x @ W_r.T + b_r
+    u0 = dense(x, W_r, b_r)
     ok = np.all(np.abs(u0) >= u_min, axis=1) & np.all(u0 > 0, axis=1)
     included = np.nonzero(ok)[0]
     if included.size == 0:
@@ -124,8 +124,7 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
         y = rng.standard_normal((b, x.shape[1]))
         y *= noise_scale
         y += np.take(x, ids, axis=0)
-        u = y @ W_r.T
-        u += b_r
+        u = dense(y, W_r, b_r)
         # every unit active <=> the row minimum is positive (NaN is not)
         active = row_reduce(np.minimum, u) > 0
         n_active = int(np.count_nonzero(active))

@@ -103,9 +103,9 @@ def build_onehot(M: int) -> Codebook:
         raise DomainError(f"one-hot vector size must be >= 2, got {M}")
     if 1 << int(log2(M)) != M:
         raise DomainError(f"one-hot vector size must be a power of two, got {M}")
+    _check_vector_size(M)
     if M not in PAPER_VECTOR_SIZES:
         warnings.warn(f"vector size M={M} is outside the validated range {PAPER_VECTOR_SIZES}")
-    _check_vector_size(M)
     supports = np.arange(M, dtype=np.int64)[:, None]
     return Codebook(M, 1, supports)
 

@@ -4,8 +4,8 @@ The topology is dense(M->M, relu), dense(M->n, linear), l2 power
 normalization, additive channel noise, dense(n->M, relu), dense(M->M,
 softmax), trained on the squared reconstruction error. Its parameters live
 in one float64 buffer theta, ordered W1, b1, W2, b2, W3, b3, W4, b4, each W
-of shape (out, in) and applied as x @ W.T + b. Adam updates the whole buffer
-at once.
+of shape (out, in) and applied as x @ W.T + b by dense, the one affine layer
+of training and evaluation alike. Adam updates the whole buffer at once.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ TILE_ELEMENTS = 1 << 16
 # BIAS_RUN elements long
 SHORT_ROW = 16
 BIAS_RUN = 512
+# np.dot and np.matmul give dense the same bits; below this many rows
+# np.dot's shorter dispatch is faster, from it np.matmul is
+MATMUL_ROWS = 512
 
 
 def param_shapes(M: int, n: int) -> tuple:
@@ -179,28 +182,25 @@ def relu(z: np.ndarray) -> np.ndarray:
 def dense(x: np.ndarray, W: np.ndarray, b: np.ndarray, activation=None,
           out: np.ndarray | None = None) -> np.ndarray:
     """activation(x @ W.T + b) for a batch; bias and activation work in place
-    on the product, which belongs to this call or is written into `out`.
-    activation is relu or None (linear)."""
-    z = np.matmul(x, W.T, out=out)
-    M = z.shape[-1]
-    whole = 0
-    if 0 < M <= SHORT_ROW and z.ndim == 2 and z.flags.c_contiguous:
-        # runs rows at a time, each run one row of a reshaped view
-        runs = -(-BIAS_RUN // M)
-        whole = z.shape[0] // runs * runs
-        if whole:
+    on the product, which belongs to this call or is written into `out`, a
+    C-contiguous array. activation is relu or None (linear). From MATMUL_ROWS
+    rows up, rows of at most SHORT_ROW elements take the bias in runs of
+    ceil(BIAS_RUN / M) rows, each run one row of a reshaped view."""
+    if x.shape[0] < MATMUL_ROWS:
+        z = np.dot(x, W.T, out=out)
+        z += b
+    else:
+        z = np.matmul(x, W.T, out=out)
+        M = z.shape[1]
+        whole = 0
+        if 0 < M <= SHORT_ROW and z.flags.c_contiguous:
+            runs = -(-BIAS_RUN // M)
+            whole = z.shape[0] // runs * runs
             head = z[:whole].reshape(-1, runs * M)
             head += b[None].repeat(runs, axis=0).reshape(-1)
-    z[whole:] += b
+        z[whole:] += b
     if activation is relu:
         return relu(z)
-    return z
-
-
-def _affine(x: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """x @ W.T + b written into out, through np.dot (backward_pass)."""
-    z = np.dot(x, W.T, out=out)
-    z += b
     return z
 
 
@@ -275,18 +275,16 @@ def backward_pass(params, s: np.ndarray, noise, work: Workspace | None = None):
         )
     gW1, gb1, gW2, gb2, gW3, gb3, gW4, gb4 = work.grads
 
-    # dense layers as in dense(), with np.dot: the same dgemm as np.matmul,
-    # reached through fewer numpy layers
-    h1 = relu(_affine(s, W1, b1, work.h1))
-    z2 = _affine(h1, W2, b2, work.z2)
+    h1 = dense(s, W1, b1, relu, out=work.h1)
+    z2 = dense(h1, W2, b2, out=work.z2)
     norms = _row_norms(z2, out=work.norms, squares=work.tn)
     scale = np.divide(sqrt(n), norms, out=work.scale)
     y = np.multiply(scale, z2, out=work.y)
     y += noise
-    h3 = relu(_affine(y, W3, b3, work.h3))
+    h3 = dense(y, W3, b3, relu, out=work.h3)
     # softmax with its row max and row sum in work.col; a max is exact in
     # any order, so this is softmax()'s result
-    p = _affine(h3, W4, b4, work.p)
+    p = dense(h3, W4, b4, out=work.p)
     p -= np.maximum.reduce(p, axis=1, keepdims=True, out=work.col)
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=1, keepdims=True, out=work.col)

@@ -1,5 +1,6 @@
 """The paired-run tool's statistics, on synthetic runs: no benchmark runs."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -117,3 +118,50 @@ def test_failed_share_pools_each_sides_runs_and_a_higher_change_share_is_worse()
     # nothing attempted reads as no failure
     s = bench_pairs.failed_share(_ops((0, 0)), _ops((0, 5)))
     assert (s["parent"], s["change"], s["verdict"]) == (0.0, 0.0, "ok")
+
+
+FAKE_RUN = """import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed = int(args["--seed"])
+if seed == FAIL_SEED:
+    print("\\n".join(f"line {i}" for i in range(30)), file=sys.stderr)
+    sys.exit(3)
+print("# environment " + json.dumps({"aecomm_commit": "abc", "python": "3"}))
+open("report.json", "w").write(json.dumps({"fake_match": True}))
+print("# report report.json")
+print(json.dumps({"failed": 0, "attempted": 10, "metrics": {
+    "pass_cost": {"value": float(seed)},
+    "nn.backward_pass.self_s": {"value": 0.1 * seed}}}))
+"""
+
+
+def _fake_checkout(root, fail_seed=None):
+    """A checkout whose perfbench/run.py prints a run's lines at once, or
+    exits 3 on fail_seed."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1,
+        "end_to_end": [{"name": "pass_cost", "better": "lower", "bound": 0.2}],
+        "per_layer": [{"name": "nn.backward_pass.self_s", "better": "lower"}]}))
+    (root / "perfbench" / "run.py").write_text(FAKE_RUN.replace("FAIL_SEED", repr(fail_seed)))
+    return root
+
+
+def test_a_failed_run_is_recorded_and_the_series_finishes(tmp_path, monkeypatch):
+    parent = _fake_checkout(tmp_path / "parent")
+    change = _fake_checkout(tmp_path / "change", fail_seed=2)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--label", "t", "--workloads", "train", "--seeds", "1-3",
+                             "--trace"]) == 1
+    w = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["train"]
+    # seed 2 runs the change first; each of its runs is recorded, and the
+    # parent's runs of that seed are left out with it
+    assert [(f["side"], f["seed"], f["trace"], f["exit_code"]) for f in w["failed_runs"]] \
+        == [("change", 2, 0, 3), ("change", 2, 1, 3)]
+    assert w["failed_runs"][0]["stderr_tail"] == [f"line {i}" for i in range(10, 30)]
+    for runs in (w["parent"], w["change"], w["traced"]["parent"], w["traced"]["change"]):
+        assert [r["seed"] for r in runs] == [1, 3]
+    assert w["summary"]["pass_cost"]["pairs"] == 2
+    assert w["layer_summary"]["nn.backward_pass.self_s"]["pairs"] == 2
+    assert w["failed_share"]["verdict"] == "ok"

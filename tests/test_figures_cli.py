@@ -2,6 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,8 +435,10 @@ class TestCliWorkflow:
         # whatever the overcommit policy
         out = tmp_path / "t.ckpt"
         M = 2 ** 50
-        with pytest.warns(UserWarning, match="validated range"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert run_cli("train", "--M", M, "--snr-db", 5, "--out", out) == 2
+        assert caught == []
         refused = f"error: DomainError: vector size {M} exceeds the 64 supported by decode lookup\n"
         assert capsys.readouterr().err == refused
         assert run_cli("train", "--codebook", "gdr", "--M", M, "--m", 4,
@@ -441,6 +447,19 @@ class TestCliWorkflow:
         assert run_cli("train", "--n", 10 ** 13, "--snr-db", 5, "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: MemoryError: Unable to allocate") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_range_vector_size_is_one_stderr_line(self, tmp_path):
+        # the whole process: a warning would add its message and source line
+        src = Path(cli.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "aecomm.cli", "train", "--M", "128",
+                               "--snr-db", "5", "--out", "x.ckpt"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stderr == ("error: DomainError: vector size 128 exceeds the 64 "
+                               "supported by decode lookup\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_infinite_snr_is_the_noiseless_point(self, tmp_path):

@@ -10,6 +10,7 @@ from aecomm.nn import (
     ADAM_EPSILON,
     BIAS_RUN,
     DEGENERATE_NORM_FLOOR,
+    MATMUL_ROWS,
     AdamState,
     Workspace,
     adam_step,
@@ -88,9 +89,12 @@ def test_training_forward_matches_receive_bit_for_bit():
 
 
 @pytest.mark.parametrize("M", [*range(1, 21), 64])
-@pytest.mark.parametrize("runs, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
+@pytest.mark.parametrize("runs, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5),
+                                         (0, MATMUL_ROWS - 1), (0, MATMUL_ROWS),
+                                         (2, MATMUL_ROWS + 5)])
 def test_dense_equals_product_plus_bias_bit_for_bit(M, runs, extra):
-    # B = runs * (rows per run of the short-row bias add) + extra
+    # B = runs * (rows per run of the short-row bias add) + extra: np.dot
+    # below MATMUL_ROWS rows, np.matmul and the bias runs from there
     rng = np.random.default_rng(M)
     B = runs * -(-BIAS_RUN // M) + extra
     x = rng.normal(scale=3.0, size=(B, 7))
@@ -99,9 +103,12 @@ def test_dense_equals_product_plus_bias_bit_for_bit(M, runs, extra):
     b[::4] = -0.0
     expected = (np.matmul(x, W.T) + b).view(np.uint64)
     np.testing.assert_array_equal(dense(x, W, b).view(np.uint64), expected)
-    out = np.full((B, M), np.nan)
+    # out= into a row view; the rows around it stay untouched
+    buffer = np.full((B + 2, M), np.nan)
+    out = buffer[1:B + 1]
     assert dense(x, W, b, out=out) is out
     np.testing.assert_array_equal(out.view(np.uint64), expected)
+    assert np.isnan(buffer[[0, -1]]).all()
 
 
 def test_dense_rejects_bad_shapes():
@@ -358,7 +365,7 @@ def _noises(B, n, rng):
 @pytest.mark.parametrize("codebook", [build_onehot(4), build_onehot(8), build_onehot(64),
                                       build_gdr(8, 4)],
                          ids=["onehot4", "onehot8", "onehot64", "gdr8x4"])
-@pytest.mark.parametrize("B", [1, 20, 45])
+@pytest.mark.parametrize("B", [1, 20, 45, 600])
 def test_workspace_backward_pass_equals_reference_bit_for_bit(codebook, B):
     model = _model(codebook.M, 7, seed=B, codebook=codebook)
     rng = np.random.default_rng(B)

@@ -20,6 +20,11 @@ same side order, after each seed's gated runs of a workload, and summarizes
 BENCHMARK.json's per-layer metrics of those runs in the same way. A pair is
 won by the side better in the metric's `better` direction; a layer metric
 that reads 0 on every run of both sides is left out.
+
+A run that exits non-zero is recorded under its workload's `failed_runs`
+(side, seed, trace flag, exit code and the last lines of its stderr), its
+pair is left out of the summaries, and the series goes on; the tool then
+exits 1 once the record is written.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+STDERR_LINES = 20
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -47,7 +53,8 @@ def parse_seeds(text: str) -> list[int]:
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
              trace: int) -> dict:
     """One perfbench run; its result line, `#` metrics, environment and
-    reference match."""
+    reference match, or for a run that exits non-zero its exit code and the
+    last STDERR_LINES lines of its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     # ru_maxrss survives exec, so a run started from this process would count
@@ -56,8 +63,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     done = subprocess.run(["/bin/sh", "-c", '"$@"; exit $?', "sh", *cmd], cwd=checkout,
                           capture_output=True, text=True)
     if done.returncode != 0:
-        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {done.returncode}\n"
-                         f"{done.stderr}")
+        return {"exit_code": done.returncode,
+                "stderr_tail": done.stderr.splitlines()[-STDERR_LINES:]}
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     run = {"seed": seed, "failed": result["failed"], "attempted": result["attempted"]}
@@ -158,26 +165,38 @@ def main(argv=None) -> int:
     workloads = args.workloads.split(",")
     traces = (0, 1) if args.trace else (0,)
     runs = {w: {t: {side: [] for side in SIDES} for t in traces} for w in workloads}
+    failed_runs = {w: [] for w in workloads}
     environment = {}
     for seed in parse_seeds(args.seeds):
         order = SIDES if seed % 2 else SIDES[::-1]
         for workload in workloads:
             for trace in traces:
+                pair = {}
                 for side in order:
                     out = run_once(checkouts[side], workload, seed, seconds, trace)
+                    if "exit_code" in out:
+                        failed_runs[workload].append(
+                            {"side": side, "seed": seed, "trace": trace, **out})
+                        print(f"seed {seed} {workload} trace {trace} {side}: exited "
+                              f"{out['exit_code']}", file=sys.stderr, flush=True)
+                        continue
                     out["run"]["ran_first"] = side == order[0]
-                    runs[workload][trace][side].append(out["run"])
+                    pair[side] = out["run"]
                     environment[side] = out["environment"]
                     print(f"seed {seed} {workload} trace {trace} {side}: failed "
                           f"{out['run']['failed']} of {out['run']['attempted']}",
                           file=sys.stderr, flush=True)
+                if len(pair) == len(SIDES):
+                    for side in SIDES:
+                        runs[workload][trace][side].append(pair[side])
 
-    def entry(r: dict) -> dict:
+    def entry(w: str, r: dict) -> dict:
         out = {"summary": summarize(r[0]["parent"], r[0]["change"], better["end_to_end"],
                                     bounds),
                "failed_total": {side: sum(x["failed"] for t in traces for x in r[t][side])
                                 for side in SIDES},
                "failed_share": failed_share(r[0]["parent"], r[0]["change"]),
+               "failed_runs": failed_runs[w],
                **r[0]}
         if args.trace:
             out["traced"] = r[1]
@@ -185,11 +204,11 @@ def main(argv=None) -> int:
                                              better["per_layer"])
         return out
 
-    env = {k: v for k, v in environment["change"].items() if k != "aecomm_commit"}
+    env = {k: v for k, v in environment.get("change", {}).items() if k != "aecomm_commit"}
     record = {
         "label": args.label,
-        "parent_commit": environment["parent"].get("aecomm_commit"),
-        "change_commit": environment["change"].get("aecomm_commit"),
+        "parent_commit": environment.get("parent", {}).get("aecomm_commit"),
+        "change_commit": environment.get("change", {}).get("aecomm_commit"),
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds:g} --trace {'0, then 1' if args.trace else '0'}",
         "protocol": "tools/bench_pairs.py: parent and change checkouts, run one at a "
@@ -205,14 +224,16 @@ def main(argv=None) -> int:
                     "by more than the metric's bound (a fraction of the parent's "
                     "median); else unresolved if the parent's IQR is wider than the "
                     "bound; else flat. failed_share: failed over attempted operations "
-                    "of each side's gated runs, worse if the change's is higher.",
+                    "of each side's gated runs, worse if the change's is higher. A run "
+                    "that exits non-zero is listed under failed_runs, and its pair is "
+                    "left out of the summaries.",
         "environment": env,
-        "workloads": {w: entry(r) for w, r in runs.items()},
+        "workloads": {w: entry(w, r) for w, r in runs.items()},
     }
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)
-    return 0
+    return 1 if any(failed_runs.values()) else 0
 
 
 if __name__ == "__main__":
