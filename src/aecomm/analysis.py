@@ -13,6 +13,7 @@ from math import comb, log2
 
 import numpy as np
 
+from .channel import awgn
 from .codebooks import Codebook
 from .errors import DomainError, SingularityError
 from .metrics import chunk_sizes
@@ -113,24 +114,18 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
     signal_term = float(np.mean(np.sum((f * u_ref - codebook.entries[included]) ** 2, axis=1)))
     noise_term = float(np.mean(np.sum(f ** 2 * np.sum(W_r ** 2, axis=1), axis=1) * sigma2))
 
-    # the chunk works in place with the bits of x[ids] + sigma n, W_r y + b_r
-    # and sum((p - s) ** 2): the sums commute, and the squares are summed
-    # in the same shape and order
-    noise_scale = np.sqrt(sigma2)
     sim_sum = 0.0
     sim_blocks = 0
     for b in sizes:
         ids = included[rng.integers(0, included.size, size=b)]
-        y = rng.standard_normal((b, x.shape[1]))
-        y *= noise_scale
-        y += np.take(x, ids, axis=0)
-        u = dense(y, W_r, b_r)
+        u = dense(awgn(np.take(x, ids, axis=0), sigma2, rng), W_r, b_r)
         # every unit active <=> the row minimum is positive (NaN is not)
         active = row_reduce(np.minimum, u) > 0
         n_active = int(np.count_nonzero(active))
         if n_active:
             p = softmax(u[active], overwrite=True)
-            p -= np.take(codebook.entries, ids[active], axis=0)
+            # in place, with the bits of sum((p - s) ** 2)
+            p -=np.take(codebook.entries, ids[active], axis=0)
             p *= p
             sim_sum += float(np.sum(p))
             sim_blocks += n_active

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import sigma2_from_ebn0, spawn_rng
+from .channel import awgn, sigma2_from_ebn0, spawn_rng
 from .errors import DomainError, ShapeError
 from .metrics import chunk_sizes, wald_ci95
 
@@ -119,18 +119,13 @@ def baseline_block_errors(scheme: str, ebn0_db: float, blocks: int, rng) -> dict
         raise DomainError(f"unknown baseline scheme {scheme!r}")
     sizes = chunk_sizes(blocks, "blocks")
     sigma2 = sigma2_from_ebn0(rate, ebn0_db)
-    sigma = np.sqrt(sigma2)
     images = _UNCODED if scheme == "uncoded_bpsk" else _IMAGES
 
     bit_errors = 0
     block_errors = 0
     for b in sizes:
         sent = rng.integers(0, 2, size=(b, K_BITS)) @ _PLACES[-K_BITS:]
-        # sigma * noise + image: the sum commutes, so the bits are those of
-        # image + sigma * noise
-        y = rng.standard_normal((b, images.shape[1]))
-        y *= sigma
-        y += np.take(images, sent, axis=0)
+        y = awgn(np.take(images, sent, axis=0), sigma2, rng)
         wrong = _decoded_values(scheme, y) ^ sent
         bit_errors += int(np.bitwise_count(wrong).sum())
         block_errors += int(np.count_nonzero(wrong))

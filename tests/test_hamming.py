@@ -251,7 +251,7 @@ def _reference_block_errors(scheme, ebn0_db, blocks, rng):
 
 
 @pytest.mark.parametrize("blocks", [1, 7, CHUNK_BLOCKS, CHUNK_BLOCKS + 1, 2 * CHUNK_BLOCKS + 3])
-@pytest.mark.parametrize("ebn0_db", [-10.0, 0.0, 8.0])
+@pytest.mark.parametrize("ebn0_db", [-10.0, 0.0, 8.0, np.inf])
 @pytest.mark.parametrize("scheme", ["hamming_hd", "hamming_ml", "uncoded_bpsk"])
 def test_baseline_equals_bit_row_reference_bit_for_bit(scheme, ebn0_db, blocks):
     got = baseline_block_errors(scheme, ebn0_db, blocks, np.random.default_rng(blocks))
