@@ -212,6 +212,8 @@ def _cmd_train(args) -> int:
     if args.codebook == "onehot":
         if args.m != 1:
             raise ConfigError("m must be 1 for the onehot codebook")
+        if args.selection != "lexicographic" or args.selection_seed is not None:
+            raise ConfigError("selection and selection-seed apply only to the gdr codebook")
         codebook = build_onehot(args.M)
     else:
         codebook = build_gdr(args.M, args.m, selection=args.selection,

@@ -478,6 +478,19 @@ class TestCliWorkflow:
                        "--out", tmp_path / "x.ckpt") == 2
         assert "error: ConfigError: m must be 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [("--selection", "random", "--selection-seed", 3),
+                                      ("--selection-seed", 3),
+                                      ("--config", "cfg.json")])
+    def test_train_refuses_selection_for_onehot(self, capsys, tmp_path, monkeypatch, argv):
+        # the one-hot codebook has one entry order, so a selection is not used
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text('{"selection": "random"}')
+        assert run_cli("train", "--M", 8, *argv, "--snr-db", 5, "--epochs", 1,
+                       "--train-samples", 100, "--out", "x.ckpt") == 2
+        assert capsys.readouterr().err == ("error: ConfigError: selection and "
+                                           "selection-seed apply only to the gdr codebook\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_baseline_sweep(self, capsys, tmp_path):
         out = tmp_path / "base.csv"
         assert run_cli("baseline", "--scheme", "uncoded_bpsk", "--ebn0", "0,4",
