@@ -262,6 +262,15 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def _cli_process(*argv, cwd, **env):
+    """The CLI in a fresh interpreter, with `env` added to its environment."""
+    src = Path(cli.__file__).parents[1]
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "aecomm.cli", *map(str, argv)],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+
+
 class TestCliWorkflow:
     @pytest.mark.parametrize("argv", [("evaluate", "--ebn0", "0"),
                                       ("baseline", "--ebn0", "0", "--blocks", "1.5"),
@@ -451,16 +460,25 @@ class TestCliWorkflow:
 
     def test_out_of_range_vector_size_is_one_stderr_line(self, tmp_path):
         # the whole process: a warning would add its message and source line
-        src = Path(cli.__file__).parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-m", "aecomm.cli", "train", "--M", "128",
-                               "--snr-db", "5", "--out", "x.ckpt"],
-                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        done = _cli_process("train", "--M", 128, "--snr-db", 5, "--out", "x.ckpt",
+                            cwd=tmp_path)
         assert done.returncode == 2
         assert done.stderr == ("error: DomainError: vector size 128 exceeds the 64 "
                                "supported by decode lookup\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # holds while every training product has few rows (batch size 45);
+        # a 600-row weight-gradient product differs between 1 and 2 threads
+        ckpts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.ckpt"
+            done = _cli_process("train", "--M", 64, "--snr-db", 5, "--epochs", 2,
+                                "--train-samples", 2000, "--seed", 3, "--out", out,
+                                cwd=tmp_path, OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+            ckpts.append(out.read_bytes())
+        assert ckpts[0] == ckpts[1]
 
     def test_infinite_snr_is_the_noiseless_point(self, tmp_path):
         ckpt = tmp_path / "m4.ckpt"
