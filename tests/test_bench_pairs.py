@@ -135,10 +135,15 @@ print(json.dumps({"failed": 0, "attempted": 10, "metrics": {
 """
 
 
-def _fake_checkout(root, fail_seed=None):
+def _fake_checkout(root, fail_seed=None, lines=(3, 4)):
     """A checkout whose perfbench/run.py prints a run's lines at once, or
-    exits 3 on fail_seed."""
+    exits 3 on fail_seed, and whose src/aecomm holds one module per entry of
+    `lines`, that many lines long, beside a non-Python file."""
     (root / "perfbench").mkdir(parents=True)
+    (root / "src" / "aecomm").mkdir(parents=True)
+    for i, n in enumerate(lines):
+        (root / "src" / "aecomm" / f"m{i}.py").write_text("x = 1\n" * n)
+    (root / "src" / "aecomm" / "notes.txt").write_text("not counted\n")
     (root / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 1,
         "end_to_end": [{"name": "pass_cost", "better": "lower", "bound": 0.2}],
@@ -149,12 +154,14 @@ def _fake_checkout(root, fail_seed=None):
 
 def test_a_failed_run_is_recorded_and_the_series_finishes(tmp_path, monkeypatch):
     parent = _fake_checkout(tmp_path / "parent")
-    change = _fake_checkout(tmp_path / "change", fail_seed=2)
+    change = _fake_checkout(tmp_path / "change", fail_seed=2, lines=(3, 2))
     monkeypatch.chdir(tmp_path)
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
                              "--label", "t", "--workloads", "train", "--seeds", "1-3",
                              "--trace"]) == 1
-    w = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["train"]
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["src_lines"] == {"parent": 7, "change": 5}
+    w = record["workloads"]["train"]
     # seed 2 runs the change first; each of its runs is recorded, and the
     # parent's runs of that seed are left out with it
     assert [(f["side"], f["seed"], f["trace"], f["exit_code"]) for f in w["failed_runs"]] \

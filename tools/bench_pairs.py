@@ -13,7 +13,9 @@ counts for neither), numpy linear quartiles, the median change in percent
 and the parent's interquartile range, and a verdict against the metric's
 `bound` (see `verdict`), and each side's share of failed operations over
 its gated runs, "worse" when the change's is higher (see `failed_share`).
-The record is written to the current directory.
+The record also holds each checkout's `src/aecomm` line count (`src_lines`,
+as `wc -l src/aecomm/*.py` totals it). It is written to the current
+directory.
 
 --trace also runs `perfbench/run.py ... --trace 1` on both sides, in the
 same side order, after each seed's gated runs of a workload, and summarizes
@@ -81,6 +83,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
                 run[name] = float(value.split()[0])
     run["reference_match"] = next(v for k, v in report.items() if k.endswith("_match"))
     return {"run": run, "environment": environment}
+
+
+def src_lines(checkout: Path) -> int:
+    """Newlines in the checkout's src/aecomm/*.py, the total of `wc -l`."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "aecomm").glob("*.py"))
 
 
 def _round(value: float) -> float:
@@ -228,6 +235,7 @@ def main(argv=None) -> int:
                     "that exits non-zero is listed under failed_runs, and its pair is "
                     "left out of the summaries.",
         "environment": env,
+        "src_lines": {side: src_lines(checkouts[side]) for side in SIDES},
         "workloads": {w: entry(w, r) for w, r in runs.items()},
     }
     path = Path(f"BENCH_{args.label}.json")
