@@ -125,7 +125,7 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
         if n_active:
             p = softmax(u[active], overwrite=True)
             # in place, with the bits of sum((p - s) ** 2)
-            p -=np.take(codebook.entries, ids[active], axis=0)
+            p -= np.take(codebook.entries, ids[active], axis=0)
             p *= p
             sim_sum += float(np.sum(p))
             sim_blocks += n_active
