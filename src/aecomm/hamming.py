@@ -125,8 +125,8 @@ def baseline_block_errors(scheme: str, ebn0_db: float, blocks: int, rng) -> dict
     block_errors = 0
     for b in sizes:
         sent = rng.integers(0, 2, size=(b, K_BITS)) @ _PLACES[-K_BITS:]
-        y = awgn(np.take(images, sent, axis=0), sigma2, rng)
-        wrong = _decoded_values(scheme, y) ^ sent
+        # unnamed, the received rows are freed before the next chunk's are drawn
+        wrong = _decoded_values(scheme, awgn(np.take(images, sent, axis=0), sigma2, rng)) ^ sent
         bit_errors += int(np.bitwise_count(wrong).sum())
         block_errors += int(np.count_nonzero(wrong))
     return {
