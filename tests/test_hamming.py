@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,18 @@ def test_baseline_equals_bit_row_reference_bit_for_bit(scheme, ebn0_db, blocks):
     got = baseline_block_errors(scheme, ebn0_db, blocks, np.random.default_rng(blocks))
     expected = _reference_block_errors(scheme, ebn0_db, blocks, np.random.default_rng(blocks))
     assert repr(got) == repr(expected)
+
+
+def test_baseline_holds_fewer_than_three_chunks_of_rows():
+    # one chunk's transmitted rows and noise; its received rows kept while
+    # the next chunk's are drawn would make a third
+    tracemalloc.start()
+    try:
+        baseline_block_errors("hamming_hd", 4.0, 2 * CHUNK_BLOCKS, spawn_rng(15, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * CHUNK_BLOCKS * N_BITS * 8, peak
 
 
 def test_codeword_table_is_the_generator_matmul():
