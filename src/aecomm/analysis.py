@@ -16,7 +16,7 @@ import numpy as np
 from .channel import awgn
 from .codebooks import Codebook
 from .errors import DomainError, SingularityError
-from .metrics import chunk_sizes
+from .metrics import CHUNK_BLOCKS, chunk_sizes
 from .nn import dense, row_reduce, softmax
 
 DEFAULT_TAYLOR_ORDER = 20
@@ -114,11 +114,13 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
     signal_term = float(np.mean(np.sum((f * u_ref - codebook.entries[included]) ** 2, axis=1)))
     noise_term = float(np.mean(np.sum(f ** 2 * np.sum(W_r ** 2, axis=1), axis=1) * sigma2))
 
+    # one buffer for every chunk's received rows, as in baseline_block_errors
+    received = np.empty((min(samples, CHUNK_BLOCKS), x.shape[1]))
     sim_sum = 0.0
     sim_blocks = 0
     for b in sizes:
         ids = included[rng.integers(0, included.size, size=b)]
-        u = dense(awgn(np.take(x, ids, axis=0), sigma2, rng), W_r, b_r)
+        u = dense(awgn(np.take(x, ids, axis=0), sigma2, rng, out=received[:b]), W_r, b_r)
         # every unit active <=> the row minimum is positive (NaN is not)
         active = row_reduce(np.minimum, u) > 0
         n_active = int(np.count_nonzero(active))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import awgn, sigma2_from_ebn0, spawn_rng
 from .errors import DomainError, ShapeError
-from .metrics import chunk_sizes, wald_ci95
+from .metrics import CHUNK_BLOCKS, chunk_sizes, wald_ci95
 
 K_BITS = 4
 N_BITS = 7
@@ -121,12 +121,15 @@ def baseline_block_errors(scheme: str, ebn0_db: float, blocks: int, rng) -> dict
     sigma2 = sigma2_from_ebn0(rate, ebn0_db)
     images = _UNCODED if scheme == "uncoded_bpsk" else _IMAGES
 
+    # one buffer for every chunk's received rows: fresh rows cost page
+    # faults, and rows kept while the next chunk's are drawn cost memory
+    received = np.empty((min(blocks, CHUNK_BLOCKS), images.shape[1]))
     bit_errors = 0
     block_errors = 0
     for b in sizes:
         sent = rng.integers(0, 2, size=(b, K_BITS)) @ _PLACES[-K_BITS:]
-        # unnamed, the received rows are freed before the next chunk's are drawn
-        wrong = _decoded_values(scheme, awgn(np.take(images, sent, axis=0), sigma2, rng)) ^ sent
+        y = awgn(np.take(images, sent, axis=0), sigma2, rng, out=received[:b])
+        wrong = _decoded_values(scheme, y) ^ sent
         bit_errors += int(np.bitwise_count(wrong).sum())
         block_errors += int(np.count_nonzero(wrong))
     return {
