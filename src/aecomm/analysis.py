@@ -16,8 +16,8 @@ import numpy as np
 from .channel import awgn
 from .codebooks import Codebook
 from .errors import DomainError, SingularityError
-from .metrics import CHUNK_BLOCKS, chunk_sizes
-from .nn import dense, row_reduce, softmax
+from .metrics import chunk_sizes
+from .nn import dense, row_reduce, softmax, tile_rows
 
 DEFAULT_TAYLOR_ORDER = 20
 DEFAULT_U_MIN = 1e-3
@@ -96,7 +96,8 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
     """
     if not (np.isfinite(sigma2) and sigma2 >= 0):
         raise DomainError(f"noise variance must be finite and non-negative, got {sigma2}")
-    sizes = chunk_sizes(samples, "samples")
+    tile = tile_rows(model.M)
+    sizes = chunk_sizes(samples, "samples", tile)
     if codebook is None:
         codebook = model.codebook
     W_r, b_r = model.W3, model.b3
@@ -115,7 +116,7 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
     noise_term = float(np.mean(np.sum(f ** 2 * np.sum(W_r ** 2, axis=1), axis=1) * sigma2))
 
     # one buffer for every chunk's received rows, as in baseline_block_errors
-    received = np.empty((min(samples, CHUNK_BLOCKS), x.shape[1]))
+    received = np.empty((min(samples, tile), x.shape[1]))
     sim_sum = 0.0
     sim_blocks = 0
     for b in sizes:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import nn
 from .channel import awgn, sigma2_from_ebn0, spawn_rng
 from .errors import DomainError, ShapeError
-from .metrics import CHUNK_BLOCKS, chunk_sizes, wald_ci95
+from .metrics import chunk_sizes, wald_ci95
 
 K_BITS = 4
 N_BITS = 7
@@ -117,13 +118,14 @@ def baseline_block_errors(scheme: str, ebn0_db: float, blocks: int, rng) -> dict
         rate = 1.0
     else:
         raise DomainError(f"unknown baseline scheme {scheme!r}")
-    sizes = chunk_sizes(blocks, "blocks")
+    tile = nn.tile_rows(len(CODEWORDS))  # the widest rows: hamming_ml's 16 correlations
+    sizes = chunk_sizes(blocks, "blocks", tile)
     sigma2 = sigma2_from_ebn0(rate, ebn0_db)
     images = _UNCODED if scheme == "uncoded_bpsk" else _IMAGES
 
     # one buffer for every chunk's received rows: fresh rows cost page
     # faults, and rows kept while the next chunk's are drawn cost memory
-    received = np.empty((min(blocks, CHUNK_BLOCKS), images.shape[1]))
+    received = np.empty((min(blocks, tile), images.shape[1]))
     bit_errors = 0
     block_errors = 0
     for b in sizes:

@@ -21,7 +21,6 @@ from .errors import DomainError
 # Wald interval; flag estimates backed by fewer error events than this
 Z95 = 1.96
 MIN_ERROR_EVENTS = 100
-CHUNK_BLOCKS = 1 << 16
 
 
 def tile_receiver(model, codebook: Codebook, sigma2: float, rows: int):
@@ -29,7 +28,7 @@ def tile_receiver(model, codebook: Codebook, sigma2: float, rows: int):
     `codebook`, each of at most min(rows, nn.tile_rows(model.M)) rows.
     receive(ids, rng) returns p, the softmax output of awgn(table[ids]), a
     view into a buffer that the next call overwrites; the symbol table is
-    transmit(entries), computed once, in CHUNK_BLOCKS slices.
+    transmit(entries), computed once, in slices of nn.tile_rows(model.M).
     square_error(p, ids) overwrites p with (p - s)**2, s the ids' entries,
     and returns it.
 
@@ -40,9 +39,10 @@ def tile_receiver(model, codebook: Codebook, sigma2: float, rows: int):
     again. Separate buffers cost a thousand page faults or more a call.
     """
     M, n = model.M, model.n
-    table = np.concatenate([model.transmit(codebook.entries[i:i + CHUNK_BLOCKS])
-                            for i in range(0, len(codebook), CHUNK_BLOCKS)])
-    r = min(rows, nn.tile_rows(M))
+    tile = nn.tile_rows(M)
+    table = np.concatenate([model.transmit(codebook.entries[i:i + tile])
+                            for i in range(0, len(codebook), tile)])
+    r = min(rows, tile)
     block = np.empty(r * (2 * n + 2 * M))
     x, y = block[:r * n].reshape(r, n), block[r * n:2 * r * n].reshape(r, n)
     out = block[2 * r * n:r * (2 * n + M)].reshape(r, M)
@@ -69,10 +69,10 @@ def tile_receiver(model, codebook: Codebook, sigma2: float, rows: int):
     return receive, square_error
 
 
-def chunk_sizes(total: int, name: str, chunk: int = CHUNK_BLOCKS):
+def chunk_sizes(total: int, name: str, chunk: int):
     """The sizes of the chunks a Monte Carlo loop over `total` draws works
-    in: `chunk` each, then the remainder. A total below 1 is refused by
-    name, before the first chunk is drawn."""
+    in: `chunk` each (a row tile), then the remainder. A total below 1 is
+    refused by name, before the first chunk is drawn."""
     if total < 1:
         raise DomainError(f"{name} must be >= 1, got {total}")
     return (min(chunk, total - start) for start in range(0, total, chunk))

@@ -29,7 +29,7 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from .metrics import CHUNK_BLOCKS, atomic_write
+from .metrics import atomic_write
 
 CHECKPOINT_MAGIC = "aecomm checkpoint"
 CHECKPOINT_VERSION = 1
@@ -121,11 +121,11 @@ class Autoencoder:
 def _dead_entries(model: Autoencoder) -> np.ndarray:
     """Ids of the codebook entries whose transmitter output, before power
     normalization, has a norm below nn.DEGENERATE_NORM_FLOOR: the entries
-    transmit refuses. The codebook goes through in CHUNK_BLOCKS slices."""
-    entries = model.codebook.entries
+    transmit refuses. The codebook goes through in nn.tile_rows(M) slices."""
+    entries, tile = model.codebook.entries, nn.tile_rows(model.M)
     dead = []
-    for start in range(0, len(entries), CHUNK_BLOCKS):
-        h = nn.dense(entries[start:start + CHUNK_BLOCKS], model.W1, model.b1, nn.relu)
+    for start in range(0, len(entries), tile):
+        h = nn.dense(entries[start:start + tile], model.W1, model.b1, nn.relu)
         z = nn.dense(h, model.W2, model.b2)
         norms = np.sqrt(np.add.reduce(z * z, axis=1))
         dead.append(start + np.flatnonzero(norms < nn.DEGENERATE_NORM_FLOOR))

@@ -126,7 +126,8 @@ def _probe_loop(model, spec, K, rng):
                          ids=["onehot_m64", "gdr_m8x4"])
 @pytest.mark.parametrize("K", [1, 3, 100, 1025])
 def test_batched_probe_equals_probe_loop_bit_for_bit(codebook, K):
-    # K = 1025 spans two groups of CHUNK_BLOCKS rows at 64 entries
+    # K = 1025 sends 65,600 rows: 65 tiles of up to 16 probes at M=64, and
+    # nine of up to 128 at M=8
     model = build_model(codebook, 7, seed=4)
     spec = ChannelSpec.from_snr_db(7, data_rate(codebook, 7), 2.0)
     batched, looped = spawn_rng(6, K), spawn_rng(6, K)
@@ -137,12 +138,13 @@ def test_batched_probe_equals_probe_loop_bit_for_bit(codebook, K):
 
 def _fresh_buffer_probe(model, spec, K, rng):
     """probe_mses with fresh arrays: one receiver output per group of up to
-    CHUNK_BLOCKS rows, and the noise added out of place."""
+    65,536 rows, whole probes each, and the noise added out of place; the
+    order of the draws and of the sums is probe_mses' at any group size."""
     entries = model.codebook.entries
     count = entries.shape[0]
     x = model.transmit(entries)
     total = np.zeros(count)
-    group = max(1, metrics.CHUNK_BLOCKS // count)
+    group = max(1, 65_536 // count)
     for done in range(0, K, group):
         g = min(group, K - done)
         xg = np.tile(x, (g, 1))

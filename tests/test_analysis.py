@@ -8,8 +8,7 @@ from aecomm.analysis import (
 )
 from aecomm.channel import spawn_rng
 from aecomm.errors import DomainError, SingularityError
-from aecomm.metrics import CHUNK_BLOCKS
-from aecomm.nn import softmax
+from aecomm.nn import softmax, tile_rows
 
 
 def test_linearization_approximates_softmax():
@@ -169,7 +168,7 @@ def _reference_simulated_mse(model, sigma2, samples, rng):
     included = np.nonzero(np.all(np.abs(u0) >= 1e-3, axis=1) & np.all(u0 > 0, axis=1))[0]
     sim_sum, sim_blocks, done = 0.0, 0, 0
     while done < samples:
-        b = min(samples - done, CHUNK_BLOCKS)
+        b = min(samples - done, tile_rows(model.M))
         done += b
         ids = included[rng.integers(0, included.size, size=b)]
         y = x[ids]
@@ -187,10 +186,10 @@ def _reference_simulated_mse(model, sigma2, samples, rng):
 @pytest.mark.parametrize("sigma2", [0.0, 0.01, 0.1])
 def test_decomposition_simulation_equals_out_of_place_reference_bit_for_bit(model_zoo, sigma2):
     trained, _ = model_zoo(4, 1, 10.0, seed=2)
-    samples = 2 * CHUNK_BLOCKS + 3
     # the trained model has one all-active entry, the GDR model several, so
     # only the GDR model's later chunks see the noiseless point's draw order
     for model in (trained, _positive_bias_gdr()):
+        samples = 2 * tile_rows(model.M) + 3
         out = mse_decomposition(model, None, sigma2, samples, spawn_rng(10, 0))
         mse, fraction = _reference_simulated_mse(model, sigma2, samples, spawn_rng(10, 0))
         assert repr((out["simulated_mse"], out["active_fraction"])) == repr((mse, fraction))

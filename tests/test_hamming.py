@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aecomm import hamming
+from aecomm import hamming, nn
 from aecomm.channel import sigma2_from_ebn0, spawn_rng
 from aecomm.errors import DomainError, ShapeError
 from aecomm.hamming import (
@@ -22,7 +22,10 @@ from aecomm.hamming import (
     hamming_decode_ml,
     hamming_encode,
 )
-from aecomm.metrics import BASELINE_COLUMNS, CHUNK_BLOCKS, wald_ci95
+from aecomm.metrics import BASELINE_COLUMNS, wald_ci95
+
+# the rows of one baseline chunk: a tile of hamming_ml's 16 correlations
+TILE = nn.tile_rows(16)
 
 # row v holds the MSB-first bits of v
 ALL_MESSAGES = np.array(list(itertools.product((0, 1), repeat=K_BITS)), dtype=np.int64)
@@ -230,7 +233,7 @@ def _reference_block_errors(scheme, ebn0_db, blocks, rng):
     sigma = np.sqrt(sigma2_from_ebn0(rate, ebn0_db))
     bit_errors = block_errors = done = 0
     while done < blocks:
-        b = min(blocks - done, CHUNK_BLOCKS)
+        b = min(blocks - done, TILE)
         done += b
         msg = rng.integers(0, 2, size=(b, K_BITS))
         if scheme == "uncoded_bpsk":
@@ -251,7 +254,8 @@ def _reference_block_errors(scheme, ebn0_db, blocks, rng):
             "bler": block_errors / blocks}
 
 
-@pytest.mark.parametrize("blocks", [1, 7, CHUNK_BLOCKS, CHUNK_BLOCKS + 1, 2 * CHUNK_BLOCKS + 3])
+# within one chunk, and across 16 or 32 chunks with a remainder of 0, 1 or 3
+@pytest.mark.parametrize("blocks", [1, 7, 65_536, 65_537, 131_075])
 @pytest.mark.parametrize("ebn0_db", [-10.0, 0.0, 8.0, np.inf])
 @pytest.mark.parametrize("scheme", ["hamming_hd", "hamming_ml", "uncoded_bpsk"])
 def test_baseline_equals_bit_row_reference_bit_for_bit(scheme, ebn0_db, blocks):
@@ -265,11 +269,11 @@ def test_baseline_holds_fewer_than_three_chunks_of_rows():
     # the next chunk's are drawn would make a third
     tracemalloc.start()
     try:
-        baseline_block_errors("hamming_hd", 4.0, 2 * CHUNK_BLOCKS, spawn_rng(15, 0))
+        baseline_block_errors("hamming_hd", 4.0, 2 * TILE, spawn_rng(15, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * CHUNK_BLOCKS * N_BITS * 8, peak
+    assert peak < 3 * TILE * N_BITS * 8, peak
 
 
 def test_codeword_table_is_the_generator_matmul():

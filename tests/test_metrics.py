@@ -5,13 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aecomm import metrics, nn
+from aecomm import analysis, hamming, metrics, nn
+from aecomm.adaptive import probe_mses
 from aecomm.channel import ChannelSpec, awgn, spawn_rng
 from aecomm.codebooks import (build_gdr, build_onehot, data_rate, decode_batch,
                               gray_bit_errors, subset_codebook)
 from aecomm.errors import DomainError
 from aecomm.metrics import (
-    CHUNK_BLOCKS,
     EVALUATE_COLUMNS,
     atomic_write,
     chunk_sizes,
@@ -87,7 +87,7 @@ def test_estimate_matches_reference_loop(kind):
         codebook, _ = subset_codebook(codebook, [13, 2, 7, 11, 4, 9, 0, 15])
     for ebn0_db in (0.0, 8.0):
         spec = ChannelSpec.from_ebn0(7, codebook.bits_per_message / 7, ebn0_db)
-        blocks = CHUNK_BLOCKS // 4  # two to four chunks
+        blocks = 16_384  # two to four chunks
         rec = estimate_bler(model, codebook, spec, blocks, spawn_rng(9, 0))
         block_errors, bit_errors, mse = _reference_estimate(
             model, codebook, spec, blocks, spawn_rng(9, 0))
@@ -96,11 +96,12 @@ def test_estimate_matches_reference_loop(kind):
 
 
 def test_estimate_transmits_its_symbol_table_in_chunks(monkeypatch):
-    codebook = build_onehot(16)
+    # 4,096 entries are two tiles at M=32; the tile slices the symbol table,
+    # and the record is the one an unsliced table gives
+    codebook = build_gdr(32, 3)
     model = build_model(codebook, 7, seed=0)
-    spec = ChannelSpec.from_ebn0(7, 4 / 7, 4.0)
-    # CHUNK_BLOCKS slices the symbol table only, not the blocks
-    expected = _reference_estimate(model, codebook, spec, 500, spawn_rng(9, 1))
+    spec = ChannelSpec.from_ebn0(7, 12 / 7, 4.0)
+    expected = _fresh_array_estimate(model, codebook, spec, 500, spawn_rng(9, 1))
     rows = []
     transmit = model.transmit
 
@@ -109,11 +110,10 @@ def test_estimate_transmits_its_symbol_table_in_chunks(monkeypatch):
         return transmit(s)
 
     monkeypatch.setattr(model, "transmit", counting_transmit)
-    monkeypatch.setattr(metrics, "CHUNK_BLOCKS", 5)
     rec = estimate_bler(model, codebook, spec, 500, spawn_rng(9, 1))
-    assert rows == [5, 5, 5, 1]
+    assert rows == [2048, 2048]
     assert rec.block_errors > 0
-    assert (rec.block_errors, rec.bit_errors, rec.mse) == expected
+    assert _counts(rec) == expected
 
 
 def _fresh_array_estimate(model, codebook, spec, blocks, rng):
@@ -163,8 +163,7 @@ BUFFER_CASES = [f"{name}{subset}"
                 for name in ("onehot_4", "onehot_16", "onehot_64", "gdr_8x3", "gdr_8x4")
                 for subset in ("", "+subset")]
 # one chunk, a short one, and full chunks with a remainder at every width
-BUFFER_BLOCKS = (1, 7, 8_193, CHUNK_BLOCKS - 1, CHUNK_BLOCKS,
-                 CHUNK_BLOCKS + 1, 2 * CHUNK_BLOCKS + 3)
+BUFFER_BLOCKS = (1, 7, 8_193, 65_535, 65_536, 65_537, 131_075)
 
 
 @pytest.mark.parametrize("kind", BUFFER_CASES)
@@ -182,7 +181,7 @@ def test_estimate_ignores_what_its_buffers_held():
     large, _ = _buffer_case("onehot_64")
     spec4 = ChannelSpec.from_ebn0(7, 2 / 7, 2.0)
     spec64 = ChannelSpec.from_ebn0(7, 6 / 7, 2.0)
-    blocks = CHUNK_BLOCKS + 3
+    blocks = 65_539
     expected = _fresh_array_estimate(small, small.codebook, spec4, blocks, spawn_rng(12, 0))
     assert _counts(estimate_bler(small, None, spec4, blocks, spawn_rng(12, 0))) == expected
     # nothing a wider receiver's call left in memory reaches the next call
@@ -200,7 +199,7 @@ def test_one_m64_chunk_allocates_no_chunk_sized_output():
     def run():
         tracemalloc.start()
         try:
-            estimate_bler(model, None, spec, CHUNK_BLOCKS, spawn_rng(14, 0))
+            estimate_bler(model, None, spec, 65_536, spawn_rng(14, 0))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -212,12 +211,49 @@ def test_one_m64_chunk_allocates_no_chunk_sized_output():
     assert peaks and peaks[0] < 8 << 20, peaks
 
 
+@pytest.mark.parametrize("case", ["estimate_bler", "probe_mses", "mse_decomposition",
+                                  "hamming_hd", "hamming_ml", "uncoded_bpsk"])
+def test_monte_carlo_loops_draw_their_noise_one_tile_at_a_time(case, model_zoo, monkeypatch):
+    # every loop over rows works in chunks of nn.tile_rows(w), w its widest
+    # row: M for the autoencoder, hamming_ml's 16 correlations for the
+    # baselines; each call here sends two tiles and a few rows more
+    rows = []
+
+    def counting_awgn(x, *args, **kwargs):
+        rows.append(len(x))
+        return awgn(x, *args, **kwargs)
+
+    for module in (metrics, hamming, analysis):
+        monkeypatch.setattr(module, "awgn", counting_awgn)
+    if case in ("estimate_bler", "probe_mses"):
+        model = build_model(build_onehot(64), 7, seed=1)
+        spec = ChannelSpec.from_ebn0(7, 6 / 7, 2.0)
+        tile = nn.tile_rows(64)
+        if case == "estimate_bler":
+            total = 2 * tile + 3
+            estimate_bler(model, None, spec, total, spawn_rng(16, 0))
+        else:
+            K = (2 * tile + 3) // 64 + 1
+            total = K * 64
+            probe_mses(model, spec, K, spawn_rng(16, 1))
+    elif case == "mse_decomposition":
+        model, _ = model_zoo(4, 1, 10.0, seed=2)
+        tile = nn.tile_rows(4)
+        total = 2 * tile + 3
+        analysis.mse_decomposition(model, None, 0.05, total, spawn_rng(16, 2))
+    else:
+        tile = nn.tile_rows(16)
+        total = 2 * tile + 3
+        hamming.baseline_block_errors(case, 4.0, total, spawn_rng(16, 3))
+    assert sum(rows) == total and max(rows) <= tile, rows
+
+
 def test_threads_evaluating_at_once_match_their_serial_records():
     # more threads than cores, switching often, on a narrow and a wide
     # receiver: a buffer shared between threads would mix their chunks
     models = [_buffer_case("onehot_4")[0], _buffer_case("onehot_64")[0]]
     specs = [ChannelSpec.from_ebn0(7, 2 / 7, 2.0), ChannelSpec.from_ebn0(7, 6 / 7, 2.0)]
-    blocks = CHUNK_BLOCKS + 5
+    blocks = 65_541
     jobs = [(i % 2, i) for i in range(4)]
 
     def run(job):
@@ -292,13 +328,12 @@ def test_estimate_rejects_zero_blocks():
         estimate_bler(model, None, spec, 0, spawn_rng(0, 0))
 
 
-@pytest.mark.parametrize("total", [1, 7, CHUNK_BLOCKS - 1, CHUNK_BLOCKS, CHUNK_BLOCKS + 1,
-                                   3 * CHUNK_BLOCKS, 3 * CHUNK_BLOCKS + 5])
+@pytest.mark.parametrize("total", [1, 7, 65_535, 65_536, 65_537, 196_608, 196_613])
 def test_chunk_sizes_are_full_chunks_then_the_rest(total):
-    sizes = list(chunk_sizes(total, "blocks"))
+    sizes = list(chunk_sizes(total, "blocks", 65_536))
     assert sum(sizes) == total
-    assert sizes[:-1] == [CHUNK_BLOCKS] * (len(sizes) - 1)
-    assert 1 <= sizes[-1] <= CHUNK_BLOCKS
+    assert sizes[:-1] == [65_536] * (len(sizes) - 1)
+    assert 1 <= sizes[-1] <= 65_536
     assert list(chunk_sizes(total, "blocks", 1_000)) == [
         min(1_000, total - start) for start in range(0, total, 1_000)]
 
@@ -306,7 +341,7 @@ def test_chunk_sizes_are_full_chunks_then_the_rest(total):
 @pytest.mark.parametrize("total", [0, -5])
 def test_chunk_sizes_refuse_a_count_below_one_by_name(total):
     with pytest.raises(DomainError, match=f"^samples must be >= 1, got {total}$"):
-        chunk_sizes(total, "samples")
+        chunk_sizes(total, "samples", 1_000)
 
 
 def test_scheme_label_defaults_by_codebook_order(model_zoo):
