@@ -32,7 +32,12 @@ MAX_AXIS_POINTS = 10_000  # bounds a mistyped step; recipe axes have at most 40
 def _axis_floats(parts, text: str) -> list[float]:
     # NaN names no point; +-inf may (+inf SNR is the noiseless point) and
     # is refused downstream where it does not
-    values = [float(p) for p in parts]
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigError(f"axis values must be numbers, got {text!r}")
     if any(math.isnan(v) for v in values):
         raise DomainError(f"axis values must not be NaN, got {text!r}")
     return values
@@ -57,9 +62,7 @@ def parse_axis(text: str) -> list[float]:
             raise ConfigError(f"axis step {step} is too small for {text!r}: "
                               f"more than {MAX_AXIS_POINTS} points")
         return [start + i * step for i in range(int(span) + 1)]
-    if "," in text:
-        return _axis_floats([p for p in text.split(",") if p.strip()], text)
-    return _axis_floats([text], text)
+    return _axis_floats([p for p in text.split(",") if p.strip()], text)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -19,7 +19,7 @@ from . import adaptive as ad
 from . import analysis, hamming, metrics
 from .channel import ChannelSpec, spawn_rng
 from .codebooks import build_gdr, build_onehot, data_rate
-from .errors import UnknownRecipeError
+from .errors import DomainError, UnknownRecipeError
 from .model import TrainingConfig, build_model, theoretical_param_count, train
 
 N_CHANNEL_USES = 7
@@ -46,6 +46,13 @@ class RecipeContext:
     epochs: int = 150
     train_samples: int = 20000
     probes: int = RECOMMENDED_PROBES
+
+    def __post_init__(self):
+        # refused before a recipe trains, as training and evaluation would
+        TrainingConfig(epochs=self.epochs, train_samples=self.train_samples, training_snr_db=0.0)
+        for name, count in (("blocks", self.eval_blocks), ("probes per vector", self.probes)):
+            if count < 1:
+                raise DomainError(f"{name} must be >= 1, got {count}")
 
     @property
     def eval_blocks(self) -> int:

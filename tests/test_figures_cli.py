@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aecomm import cli, figures, metrics
-from aecomm.codebooks import build_gdr
+from aecomm.codebooks import build_gdr, build_onehot
 from aecomm.errors import ConfigError, DomainError, UnknownRecipeError
 from aecomm.figures import RecipeContext, available_recipes, derive_seed, run_figure
 from aecomm.model import build_model, load_checkpoint, save_checkpoint
@@ -324,6 +324,36 @@ class TestCliWorkflow:
         assert run_cli("figure", "fig4", "--seed", 5, "--epochs", 1,
                        "--train-samples", 100, "--blocks", 100, "--out-dir", tmp_path) == 0
         assert (tmp_path / "fig4_manifest.json").exists()
+
+    @pytest.mark.parametrize("argv, error", [
+        (("table5", "--probes", 0), "DomainError: probes per vector must be >= 1, got 0"),
+        (("fig5", "--blocks", 0), "DomainError: blocks must be >= 1, got 0"),
+        (("fig5", "--epochs", 0), "ConfigError: epochs must be >= 1"),
+        (("fig5", "--train-samples", -1), "ConfigError: train_samples must be >= 1"),
+    ], ids=["probes", "blocks", "epochs", "train_samples"])
+    def test_figure_refuses_counts_below_one_before_training(
+            self, capsys, tmp_path, monkeypatch, argv, error):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a recipe trained before its counts were checked")
+
+        monkeypatch.setattr(figures, "trained_model", no_training)
+        out = tmp_path / "out"
+        assert run_cli("figure", *argv, "--out-dir", out) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [("evaluate", "--snr", ","),
+                                      ("evaluate", "--ebn0", " , "),
+                                      ("analyze", "--sigma2", "abc"),
+                                      ("adaptive", "--snr", "1:abc:1")],
+                             ids=["comma", "spaced_comma", "word", "range_word"])
+    def test_empty_or_non_numeric_axis_is_a_one_line_usage_error(self, capsys, tmp_path, argv):
+        ckpt, out = tmp_path / "m4.ckpt", tmp_path / "out.csv"
+        save_checkpoint(build_model(build_onehot(4), 7, seed=0), str(ckpt))
+        assert run_cli(*argv, "--checkpoint", ckpt, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: axis") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_train_evaluate_round_trip(self, capsys, tmp_path):
         ckpt = tmp_path / "m4.ckpt"
