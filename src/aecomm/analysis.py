@@ -17,7 +17,7 @@ from .channel import awgn
 from .codebooks import Codebook
 from .errors import DomainError, SingularityError
 from .metrics import chunk_sizes
-from .nn import dense, row_reduce, softmax, tile_rows
+from .nn import class_tile, dense, softmax_columns, tile_rows, tile_work
 
 DEFAULT_TAYLOR_ORDER = 20
 DEFAULT_U_MIN = 1e-3
@@ -46,6 +46,12 @@ def _series(u: np.ndarray, order: int) -> np.ndarray:
     return total
 
 
+def _check_u_min(u_min) -> None:
+    # NaN, infinite, zero and negative floors name no bound on 1/u
+    if not (np.isfinite(u_min) and u_min > 0):
+        raise DomainError(f"u_min must be a finite number above 0, got {u_min}")
+
+
 def _linearization(u: np.ndarray, order: int) -> np.ndarray:
     # the diagonal of F for each reference activation along the last axis
     return _series(u, order) / np.sum(np.exp(u), axis=-1, keepdims=True)
@@ -57,8 +63,9 @@ def build_F(u, taylor_order: int = DEFAULT_TAYLOR_ORDER,
 
     f_ii = (1/sum_k e^{u_k}) (1/u_i + 1 + u_i/2! + ... + u_i^(order-1)/order!).
     Entries with |u_i| below u_min would put the 1/u_i term out of control,
-    so they are rejected.
+    so they are rejected; u_min must be a finite number above 0.
     """
+    _check_u_min(u_min)
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
         raise DomainError(f"reference activation must be 1-D, got ndim={u.ndim}")
@@ -96,6 +103,7 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
     """
     if not (np.isfinite(sigma2) and sigma2 >= 0):
         raise DomainError(f"noise variance must be finite and non-negative, got {sigma2}")
+    _check_u_min(u_min)
     tile = tile_rows(model.M)
     sizes = chunk_sizes(samples, "samples", tile)
     if codebook is None:
@@ -115,18 +123,24 @@ def mse_decomposition(model, codebook: Codebook | None, sigma2: float,
     signal_term = float(np.mean(np.sum((f * u_ref - codebook.entries[included]) ** 2, axis=1)))
     noise_term = float(np.mean(np.sum(f ** 2 * np.sum(W_r ** 2, axis=1), axis=1) * sigma2))
 
-    # one buffer for every chunk's received rows, as in baseline_block_errors
-    received = np.empty((min(samples, tile), x.shape[1]))
+    # one buffer for every chunk's received rows, as in baseline_block_errors,
+    # and one for its class-major tile, padded rows and spare rows
+    r = min(samples, tile)
+    received = np.empty((r, x.shape[1]))
+    work = np.empty(tile_work(r, model.M, x.shape[1]))
     sim_sum = 0.0
     sim_blocks = 0
     for b in sizes:
         ids = included[rng.integers(0, included.size, size=b)]
-        u = dense(awgn(np.take(x, ids, axis=0), sigma2, rng, out=received[:b]), W_r, b_r)
-        # every unit active <=> the row minimum is positive (NaN is not)
-        active = row_reduce(np.minimum, u) > 0
+        u = class_tile(awgn(np.take(x, ids, axis=0), sigma2, rng, out=received[:b]),
+                       W_r, b_r, work)
+        # every unit active <=> the column minimum is positive (NaN is not)
+        active = np.minimum.reduce(u[:, :b], axis=0) > 0
         n_active = int(np.count_nonzero(active))
         if n_active:
-            p = softmax(u[active], overwrite=True)
+            # the padded rows are spent: they are the softmax's spare rows
+            spare = work[u.size:2 * u.size].reshape(u.shape)
+            p = softmax_columns(u, spare)[:, :b].T[active]
             # in place, with the bits of sum((p - s) ** 2)
             p -= np.take(codebook.entries, ids[active], axis=0)
             p *= p

@@ -16,7 +16,7 @@ import numpy as np
 from . import nn
 from .channel import ChannelSpec, awgn, spawn_rng
 from .codebooks import Codebook, data_rate, decode_batch, gray_bit_errors
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 # Wald interval; flag estimates backed by fewer error events than this
 Z95 = 1.96
@@ -43,11 +43,12 @@ def tile_receiver(model, codebook: Codebook, sigma2: float, rows: int):
     table = np.concatenate([model.transmit(codebook.entries[i:i + tile])
                             for i in range(0, len(codebook), tile)])
     r = min(rows, tile)
-    block = np.empty(r * (2 * n + 2 * M))
-    x, y = block[:r * n].reshape(r, n), block[r * n:2 * r * n].reshape(r, n)
-    out = block[2 * r * n:r * (2 * n + M)].reshape(r, M)
-    # the hidden layer, then the softmax's tiles
-    scratch = block[r * (2 * n + M):]
+    block = np.empty(r * (n + M) + nn.tile_work(r, M, n))
+    y, out = block[:r * n].reshape(r, n), block[r * n:r * (n + M)].reshape(r, M)
+    # receive's scratch; the gathered symbols are spent once the noise is
+    # added, so they take its front
+    scratch = block[r * (n + M):]
+    x = scratch[:r * n].reshape(r, n)
     # each message's support elements as flat indices into p
     support = np.empty((r, codebook.m), dtype=np.int64)
     offsets = np.arange(0, r * M, M)[:, None]
@@ -209,20 +210,35 @@ def atomic_write(path):
         raise
 
 
+# read_csv splits the file into lines at these, and a row at commas
+_LINE_BREAKS = "\n\r"
+
+
+def _field(name: str, value, refused: str) -> str:
+    """format_value(value), refused by name if it holds a `refused` character."""
+    text = format_value(value)
+    if any(ch in text for ch in refused):
+        raise ConfigError(f"{name} {text!r} holds a comma or a line break; "
+                          f"the CSV cannot keep it in one field")
+    return text
+
+
 def write_csv(path, columns, rows, config_echo: dict | None = None) -> None:
     """Comma-separated table with a '#'-prefixed config echo block.
 
     Output depends only on the arguments (no timestamps, no environment),
-    so identical runs produce byte-identical files.
+    so identical runs produce byte-identical files. A field that read_csv
+    would split raises ConfigError before anything is written.
     """
-    lines = []
-    for key in sorted(config_echo or {}):
-        lines.append(f"# {key} = {format_value((config_echo or {})[key])}")
+    echo = config_echo or {}
+    lines = [f"# {key} = {_field(f'config value {key}', echo[key], _LINE_BREAKS)}"
+             for key in sorted(echo)]
     lines.append(",".join(columns))
     for row in rows:
         if not isinstance(row, dict):
             row = row.as_dict()
-        lines.append(",".join(format_value(row.get(c)) for c in columns))
+        lines.append(",".join(_field(f"column {c}", row.get(c), "," + _LINE_BREAKS)
+                              for c in columns))
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 

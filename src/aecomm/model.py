@@ -89,29 +89,34 @@ class Autoencoder:
         The result is written into `out` when given, as numpy's out=: a
         C-contiguous float64 array of the result's shape, (B, M) or (M,) for
         one vector, which is returned. Its old contents are never read.
-        `scratch`, a C-contiguous float64 array of at least B * M elements,
-        takes the hidden layer and then its softmax's transposed tiles.
+        The receiver works class-major (nn.class_tile): the softmax runs
+        down the columns of the logits' (M, k) tile, and one transposed copy
+        fills `out`, so a row's bits do not depend on the rows sharing its
+        call. `scratch`, a C-contiguous float64 array of at least
+        nn.tile_work(B, M, n) elements, takes the hidden tile, then the
+        padded rows of y, then the logits.
         """
         yb, single = nn.as_batch(y, self.n)
-        B = yb.shape[0]
-        shape = (self.M,) if single else (B, self.M)
+        B, M = yb.shape[0], self.M
+        shape = (M,) if single else (B, M)
         if out is None:
             out = np.empty(shape)
         elif (out.shape != shape or out.dtype != np.float64
               or not out.flags.c_contiguous):
             raise ShapeError(f"out must be a C-contiguous float64 array of shape "
                              f"{shape}, got {out.dtype} {out.shape}")
-        size = B * self.M
+        size = nn.tile_work(B, M, self.n)
         if scratch is None:
             scratch = np.empty(size)
         elif (scratch.dtype != np.float64 or not scratch.flags.c_contiguous
               or scratch.size < size):
             raise ShapeError(f"scratch must be a C-contiguous float64 array of at "
                              f"least {size} elements, got {scratch.dtype} {scratch.shape}")
-        h = nn.dense(yb, self.W3, self.b3, nn.relu,
-                     out=scratch.reshape(-1)[:B * self.M].reshape(B, self.M))
-        nn.softmax(nn.dense(h, self.W4, self.b4, out=out.reshape(B, self.M)),
-                   overwrite=True, scratch=scratch)
+        h = nn.relu(nn.class_tile(yb, self.W3, self.b3, scratch))
+        z = np.matmul(self.W4, h, out=scratch.reshape(-1)[h.size:2 * h.size].reshape(h.shape))
+        z += self.b4[:, None]
+        # the hidden layer is spent: its rows are the softmax's spare rows
+        np.copyto(out.reshape(B, M), nn.softmax_columns(z, h)[:, :B].T)
         return out
 
     def params_checksum(self) -> str:

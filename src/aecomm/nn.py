@@ -4,8 +4,8 @@ The topology is dense(M->M, relu), dense(M->n, linear), l2 power
 normalization, additive channel noise, dense(n->M, relu), dense(M->M,
 softmax), trained on the squared reconstruction error. Its parameters live
 in one float64 buffer theta, ordered W1, b1, W2, b2, W3, b3, W4, b4, each W
-of shape (out, in) and applied as x @ W.T + b by dense, the one affine layer
-of training and evaluation alike. Adam updates the whole buffer at once.
+of shape (out, in): dense applies it as x @ W.T + b (training, transmit),
+class_tile as W @ x.T + b[:, None] (receiver). Adam updates the buffer whole.
 """
 
 from __future__ import annotations
@@ -23,12 +23,6 @@ ADAM_EPSILON = 1e-8
 DEGENERATE_NORM_FLOOR = 1e-12
 # row tiles of at most this many float64 elements (512 KB) stay in cache
 TILE_ELEMENTS = 1 << 16
-# numpy loops over each row of a 2-D array on its own, so rows of at most
-# SHORT_ROW elements are worked as long runs instead (softmax, dense): down
-# the columns of a transposed tile, or as several rows at once at least
-# BIAS_RUN elements long
-SHORT_ROW = 16
-BIAS_RUN = 512
 # np.dot and np.matmul give dense the same bits; below this many rows
 # np.dot's shorter dispatch is faster, from it np.matmul is
 MATMUL_ROWS = 512
@@ -79,99 +73,63 @@ def tile_rows(M: int) -> int:
     return max(1, TILE_ELEMENTS // M)
 
 
-def row_reduce(ufunc: np.ufunc, rows: np.ndarray, scratch=None) -> np.ndarray:
-    """ufunc.reduce over each row of a 2-D array, for a short-row min or max.
-
-    Each row is reduced down the columns of a transposed copy, which numpy
-    vectorizes across rows; a short row reduced on its own is not. The copy
-    is made TILE_ELEMENTS at a time, since transposing a large array at once
-    strides through memory, into `scratch` when given: a C-contiguous
-    float64 array of at least that many elements, or of rows' size. A min
-    or max is exact in any order, NaN included; where +0 and -0 tie, the
-    sign of the zero may differ.
-    """
-    out = np.empty(rows.shape[0])
-    step = tile_rows(rows.shape[1])
-    if scratch is None:
-        scratch = np.empty(min(rows.shape[0], step) * rows.shape[1])
-    for i in range(0, rows.shape[0], step):
-        block = rows[i:i + step]
-        t = scratch.reshape(-1)[:block.size].reshape(block.shape[::-1])
-        np.copyto(t, block.T)
-        ufunc.reduce(t, axis=0, out=out[i:i + step])
-    return out
+def tile_columns(rows: int) -> int:
+    """rows rounded up to a multiple of 8: a class-major tile's columns."""
+    return -(-rows // 8) * 8
 
 
-def _column_sums(t: np.ndarray, out: np.ndarray, spare) -> np.ndarray:
-    """np.add.reduce(t, axis=0) for t of at most SHORT_ROW rows, with the
-    bits numpy gives each row of t.T summed alone (its pairwise_sum): below 8
-    elements one by one; from 8, accumulators r_j = t[j], plus t[j + 8] when
-    a second block of 8 is full, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the rest one by one. spare is three rows of t's width."""
+def tile_work(rows: int, M: int, n: int) -> int:
+    """The float64 elements a class-major receiver of `rows` rows works in:
+    its (M, k) hidden tile, then the larger of its (k, n) padded input rows
+    and its (M, k) logits, k = tile_columns(rows)."""
+    return tile_columns(rows) * (M + max(M, n))
+
+
+def column_sums(t: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """np.add.reduce(t, axis=0) into spare[0], in numpy's order for a row of
+    up to 128 elements summed alone (pairwise_sum): one by one below 8; from
+    8, accumulators r_j = t[j] + t[j + 8] + ... over the whole blocks of 8,
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one by
+    one. spare has t's width and min(len(t), 8) rows."""
     n = t.shape[0]
+    whole = n - n % 8
+    out = spare[0]
     if n < 8:
         np.copyto(out, t[0])
-        for row in t[1:]:
-            out += row
-        return out
-    a, b, c = spare
-
-    def r(j, buf):
-        return np.add(t[j], t[j + 8], out=buf) if n == 16 else t[j]
-
-    def pair(j, buf, tmp):
-        return np.add(r(j, buf), r(j + 1, tmp), out=buf)
-
-    np.add(pair(0, out, a), pair(2, a, b), out=out)
-    out += np.add(pair(4, a, b), pair(6, b, c), out=a)
-    for row in t[n - n % 8:]:
+    else:
+        r = t[:8] if whole == 8 else np.add(t[:8], t[8:16], out=spare[:8])
+        for i in range(16, whole, 8):
+            r += t[i:i + 8]
+        # each row of r is spent before it is written
+        a, b = spare[2], spare[4]
+        np.add(r[0], r[1], out=out)
+        out += np.add(r[2], r[3], out=a)
+        np.add(r[4], r[5], out=a)
+        a += np.add(r[6], r[7], out=b)
+        out += a
+    for row in t[max(whole, 1):]:
         out += row
     return out
 
 
-def softmax(z: np.ndarray, overwrite: bool = False, scratch=None) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety.
+def softmax_columns(t: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Softmax down each column of a class-major tile t, in place, with the
+    bits softmax gives each row of t.T (a max is exact in any order, and exp
+    maps a +0/-0 tie for it to 1 either way); spare is as column_sums takes it."""
+    t -= np.maximum.reduce(t, axis=0, out=spare[0])
+    np.exp(t, out=t)
+    t /= column_sums(t, spare)
+    return t
 
-    overwrite=True lets the result replace z, saving a temporary. scratch, a
-    C-contiguous float64 array of at least min(rows, tile_rows(M)) * M
-    elements, takes the transposed tiles.
 
-    The row max is reduced down the columns of a transposed copy, tile by
-    tile (row_reduce); where +0 and -0 tie for it, z - max differs at most in
-    the sign of a zero, which exp maps to 1 either way. Rows of 4 to
-    SHORT_ROW elements in a 1-D or 2-D array go through the rest on that copy
-    too: subtract, exp, sum (_column_sums, numpy's order for a row) and
-    divide, then one copy back. Until that copy the tile's output rows are
-    dead, so they hold its four per-row buffers.
-    """
+def softmax(z: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Row-wise softmax with max subtraction; overwrite=True writes it over z."""
     z = np.asarray(z, dtype=np.float64)
-    M = z.shape[-1]
-    if not 4 <= M <= SHORT_ROW or z.ndim > 2:
-        zmax = row_reduce(np.maximum, z.reshape(-1, M), scratch)
-        e = np.subtract(z, zmax.reshape(z.shape[:-1] + (1,)), out=z if overwrite else None)
-        np.exp(e, out=e)
-        e /= np.add.reduce(e, axis=-1, keepdims=True)
-        return e
-    out = z if overwrite else np.empty(z.shape)
-    rows, result = z.reshape(-1, M), out.reshape(-1, M)
-    step = tile_rows(M)
-    if scratch is None:
-        scratch = np.empty(min(rows.shape[0], step) * M)
-    flat = scratch.reshape(-1)
-    for i in range(0, rows.shape[0], step):
-        block = rows[i:i + step]
-        k = block.shape[0]
-        t = flat[:block.size].reshape(M, k)
-        np.copyto(t, block.T)
-        # a view of the dead rows, or a copy of them where a strided
-        # result cannot be flattened in place
-        zmax, total, a, b = result[i:i + k].reshape(-1)[:4 * k].reshape(4, k)
-        t -= np.maximum.reduce(t, axis=0, out=zmax)
-        np.exp(t, out=t)
-        # the max is spent, so its row is the third spare
-        t /= _column_sums(t, total, (a, b, zmax))
-        np.copyto(result[i:i + k], t.T)
-    return out
+    e = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True),
+                    out=z if overwrite else None)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -183,25 +141,31 @@ def dense(x: np.ndarray, W: np.ndarray, b: np.ndarray, activation=None,
           out: np.ndarray | None = None) -> np.ndarray:
     """activation(x @ W.T + b) for a batch; bias and activation work in place
     on the product, which belongs to this call or is written into `out`, a
-    C-contiguous array. activation is relu or None (linear). From MATMUL_ROWS
-    rows up, rows of at most SHORT_ROW elements take the bias in runs of
-    ceil(BIAS_RUN / M) rows, each run one row of a reshaped view."""
-    if x.shape[0] < MATMUL_ROWS:
-        z = np.dot(x, W.T, out=out)
-        z += b
-    else:
-        z = np.matmul(x, W.T, out=out)
-        M = z.shape[1]
-        whole = 0
-        if 0 < M <= SHORT_ROW and z.flags.c_contiguous:
-            runs = -(-BIAS_RUN // M)
-            whole = z.shape[0] // runs * runs
-            head = z[:whole].reshape(-1, runs * M)
-            head += b[None].repeat(runs, axis=0).reshape(-1)
-        z[whole:] += b
+    C-contiguous array. activation is relu or None (linear)."""
+    z = (np.dot if x.shape[0] < MATMUL_ROWS else np.matmul)(x, W.T, out=out)
+    z += b
     if activation is relu:
         return relu(z)
     return z
+
+
+def class_tile(x: np.ndarray, W: np.ndarray, b: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """W @ x.T + b[:, None] for a (B, in) batch x: the class-major tile, one
+    column per row, k = tile_columns(B) columns, the last k - B from zero
+    rows. OpenBLAS rounds a product's last columns differently when fewer
+    than 8 are left, so padded, each column has its full-tile bits. work is
+    a C-contiguous float64 array of k * (out + in) elements or more: the
+    tile, then the padded rows."""
+    B, width = x.shape
+    k = tile_columns(B)
+    flat = work.reshape(-1)
+    t = flat[:W.shape[0] * k].reshape(W.shape[0], k)
+    rows = flat[t.size:t.size + width * k].reshape(k, width)
+    np.copyto(rows[:B], x)
+    rows[B:] = 0.0
+    np.matmul(W, rows.T, out=t)
+    t += b[:, None]
+    return t
 
 
 def _row_norms(x: np.ndarray, out=None, squares=None) -> np.ndarray:

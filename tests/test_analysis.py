@@ -48,6 +48,17 @@ def test_linearization_rejects_near_zero_components():
         build_F(np.ones(3), taylor_order=0)
 
 
+@pytest.mark.parametrize("u_min", [np.nan, np.inf, -1.0, 0.0])
+def test_u_min_must_be_a_finite_number_above_zero(model_zoo, u_min):
+    # NaN and inf once failed as "no entry keeps every unit active", and a
+    # negative floor ran as if there were none
+    with pytest.raises(DomainError, match="u_min"):
+        build_F(np.ones(3), u_min=u_min)
+    model, _ = model_zoo(4, 1, 10.0, seed=2)
+    with pytest.raises(DomainError, match="u_min"):
+        mse_decomposition(model, None, 0.01, 100, spawn_rng(0, 0), u_min=u_min)
+
+
 def test_achievable_rate_gain_near_published_value():
     high = achievable_rate(16, 6, 7, 20.0)
     low = achievable_rate(16, 1, 7, 20.0)

@@ -581,6 +581,26 @@ class TestCliWorkflow:
         assert err.startswith("error: DomainError: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_csv_field_with_a_comma_is_a_one_line_error(self, capsys, tmp_path):
+        ckpt = tmp_path / "m4.ckpt"
+        save_checkpoint(build_model(build_onehot(4), 7, seed=0), str(ckpt))
+        out = tmp_path / "e.csv"
+        assert run_cli("evaluate", "--checkpoint", ckpt, "--ebn0", "0", "--blocks", 100,
+                       "--scheme", "a,b", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: column scheme ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_u_min_outside_the_positive_numbers_is_a_one_line_error(self, capsys, tmp_path):
+        ckpt = tmp_path / "m4.ckpt"
+        save_checkpoint(build_model(build_onehot(4), 7, seed=0), str(ckpt))
+        out = tmp_path / "a.csv"
+        assert run_cli("analyze", "--checkpoint", ckpt, "--sigma2", "0.01",
+                       "--u-min", "-1", "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: DomainError: u_min must be a finite number above 0, got -1.0\n")
+        assert not out.exists()
+
     def test_malformed_checkpoint_is_one_line_error(self, capsys, tmp_path):
         ckpt = tmp_path / "m4.ckpt"
         save_checkpoint(build_model(build_gdr(4, 1), 7, seed=0), str(ckpt))

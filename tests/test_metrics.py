@@ -10,7 +10,7 @@ from aecomm.adaptive import probe_mses
 from aecomm.channel import ChannelSpec, awgn, spawn_rng
 from aecomm.codebooks import (build_gdr, build_onehot, data_rate, decode_batch,
                               gray_bit_errors, subset_codebook)
-from aecomm.errors import DomainError
+from aecomm.errors import ConfigError, DomainError
 from aecomm.metrics import (
     EVALUATE_COLUMNS,
     atomic_write,
@@ -382,6 +382,24 @@ def test_csv_round_trip_and_byte_identical_replay(tmp_path):
     assert float(got_rows[0]["bler"]) == 1 / 3  # repr floats survive the trip
     assert got_rows[0]["low_confidence"] == "1"
     assert got_rows[1]["bler"] == "0.0"
+
+
+@pytest.mark.parametrize("row, config, name", [
+    ({"scheme": "a,b", "bler": 0.5}, {}, "column scheme"),
+    ({"scheme": "a\nb", "bler": 0.5}, {}, "column scheme"),
+    ({"scheme": "a\rb", "bler": 0.5}, {}, "column scheme"),
+    ({"scheme": "onehot", "bler": 0.5}, {"note": "two\nlines"}, "config value note"),
+])
+def test_csv_refuses_a_field_it_cannot_keep_whole(tmp_path, row, config, name):
+    # a comma would shift every later column of its row as read_csv reads
+    # it, and a line break would start a row; the file is never opened
+    path = tmp_path / "out.csv"
+    with pytest.raises(ConfigError, match=name):
+        write_csv(path, ("scheme", "bler"), [row], config)
+    assert list(tmp_path.iterdir()) == []
+    # a comma in a config value stays on its line
+    write_csv(path, ("scheme",), [{"scheme": "onehot"}], {"checkpoint": "a,b.ckpt"})
+    assert read_csv(path) == ({"checkpoint": "a,b.ckpt"}, [{"scheme": "onehot"}])
 
 
 def test_metric_record_serializes_through_csv(tmp_path, model_zoo):

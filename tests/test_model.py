@@ -489,6 +489,13 @@ def test_end_to_end_noiseless_round_trip(model_zoo):
     assert np.all(np.argmax(p, axis=1) == ids)
 
 
+def _scratch_size(model, B):
+    """receive's scratch: the (M, k) hidden tile, then the padded rows of y or
+    the logits, whichever is larger; k is B rounded up to a multiple of 8."""
+    k = -(-B // 8) * 8
+    return k * (model.M + max(model.M, model.n))
+
+
 @pytest.mark.parametrize("codebook", [build_onehot(4), build_onehot(16),
                                       build_onehot(64), build_gdr(8, 4)],
                          ids=["onehot_m4", "onehot_m16", "onehot_m64", "gdr_m8x4"])
@@ -507,7 +514,7 @@ def test_receive_fills_the_buffers_it_is_given_and_refuses_bad_ones(codebook):
         assert model.receive(y, out=buf) is buf
         assert buf.tobytes() == p.tobytes(), f"B={B}"
         buf[...] = np.nan
-        model.receive(y, out=buf, scratch=np.full(B * model.M + 5, np.nan))
+        model.receive(y, out=buf, scratch=np.full(_scratch_size(model, B) + 5, np.nan))
         assert buf.tobytes() == p.tobytes(), f"B={B}"
     single = model.receive(y[5])
     assert single.shape == (model.M,)
@@ -519,9 +526,29 @@ def test_receive_fills_the_buffers_it_is_given_and_refuses_bad_ones(codebook):
                 np.empty((model.M, B)).T):
         with pytest.raises(ShapeError):
             model.receive(y, out=bad)
-    size = B * model.M
+    size = _scratch_size(model, B)
     for bad in (np.empty(size - 1), np.empty(size, np.float32), np.empty(2 * size)[::2]):
         with pytest.raises(ShapeError):
             model.receive(y, scratch=bad)
     with pytest.raises(ShapeError):
         model.receive(y[5], out=np.empty((1, model.M)))
+
+
+@pytest.mark.parametrize("codebook", [build_onehot(M) for M in (4, 8, 16, 32, 64)]
+                         + [build_gdr(8, 4)],
+                         ids=[f"onehot_m{M}" for M in (4, 8, 16, 32, 64)] + ["gdr_m8x4"])
+def test_received_rows_do_not_depend_on_the_batch(codebook):
+    # a row of a short call, one vector included, has the bits of the same
+    # row in a full tile: OpenBLAS rounds short products differently, so
+    # receive pads its tiles to a multiple of 8 columns
+    model = build_model(codebook, 7, seed=5)
+    rng = np.random.default_rng(9)
+    model.b3[...] = rng.uniform(-0.5, 0.5, model.b3.shape)
+    model.b4[...] = rng.uniform(-0.5, 0.5, model.b4.shape)
+    tile = nn.tile_rows(model.M)
+    y = 1.5 * rng.standard_normal((tile, 7))
+    full = model.receive(y)
+    for k in [*range(1, 41), *range(41, tile, 113), tile - 1]:
+        assert model.receive(y[:k]).tobytes() == full[:k].tobytes(), f"{k} rows"
+    for i in (0, 7, tile - 1):
+        assert model.receive(y[i]).tobytes() == full[i].tobytes(), f"row {i} alone"

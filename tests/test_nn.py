@@ -8,20 +8,20 @@ from aecomm.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPSILON,
-    BIAS_RUN,
     DEGENERATE_NORM_FLOOR,
     MATMUL_ROWS,
     AdamState,
     Workspace,
     adam_step,
     backward_pass,
+    column_sums,
     dense,
     glorot_uniform,
     param_count,
     power_normalize,
     relu,
-    row_reduce,
     softmax,
+    softmax_columns,
     split,
     tile_rows,
 )
@@ -89,14 +89,14 @@ def test_training_forward_matches_receive_bit_for_bit():
 
 
 @pytest.mark.parametrize("M", [*range(1, 21), 64])
-@pytest.mark.parametrize("runs, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5),
-                                         (0, MATMUL_ROWS - 1), (0, MATMUL_ROWS),
-                                         (2, MATMUL_ROWS + 5)])
-def test_dense_equals_product_plus_bias_bit_for_bit(M, runs, extra):
-    # B = runs * (rows per run of the short-row bias add) + extra: np.dot
-    # below MATMUL_ROWS rows, np.matmul and the bias runs from there
+@pytest.mark.parametrize("groups, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5),
+                                           (0, MATMUL_ROWS - 1), (0, MATMUL_ROWS),
+                                           (2, MATMUL_ROWS + 5)])
+def test_dense_equals_product_plus_bias_bit_for_bit(M, groups, extra):
+    # B = groups * ceil(512 / M) + extra rows: one row, rows around whole
+    # groups of 512 elements, and np.dot below MATMUL_ROWS, np.matmul from it
     rng = np.random.default_rng(M)
-    B = runs * -(-BIAS_RUN // M) + extra
+    B = groups * -(-512 // M) + extra
     x = rng.normal(scale=3.0, size=(B, 7))
     W = glorot_uniform(M, 7, rng)
     b = rng.normal(size=M)
@@ -129,18 +129,8 @@ def test_softmax_rows_sum_to_one_and_stay_finite():
     np.testing.assert_allclose(p[0], [1 / 3, 1 / 3, 1 / 3])
 
 
-def _softmax_row_by_row_max(z, overwrite=False):
-    """softmax with the max reduced along each row, as numpy does by default."""
-    z = np.asarray(z, dtype=np.float64)
-    e = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True),
-                    out=z if overwrite else None)
-    np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e
-
-
-# short rows (nn.SHORT_ROW) of every summation order numpy uses, in one
-# tile of 1 or 2 rows and over more than one tile
+# rows of every summation order numpy uses up to 17 elements, in one tile
+# of 1 or 2 rows and over more than one tile
 SHORT_ROW_SHAPES = [(rows, w) for w in (2, 3, 4, 7, 8, 9, 15, 16, 17)
                     for rows in (1, 2, tile_rows(w) + 3)]
 
@@ -149,6 +139,9 @@ SHORT_ROW_SHAPES = [(rows, w) for w in (2, 3, 4, 7, 8, 9, 15, 16, 17)
 @pytest.mark.parametrize("shape", [(9,), (1,), (5, 1), (7, 8), (3000, 64), (20000, 16)]
                          + SHORT_ROW_SHAPES)
 def test_softmax_column_wise_max_equals_row_by_row_max_bit_for_bit(shape, overwrite):
+    """softmax_columns on the class-major tile against the row-wise softmax,
+    with tied maxima, +-0, -inf and all -inf rows; and the row-wise softmax
+    into its own input, contiguous or strided, when asked."""
     rng = np.random.default_rng(len(shape) * 100 + shape[-1])
     z = rng.normal(scale=5.0, size=shape)
     if z.ndim == 2 and z.shape[1] > 1:
@@ -159,33 +152,37 @@ def test_softmax_column_wise_max_equals_row_by_row_max_bit_for_bit(shape, overwr
         z[4::11] = -np.inf  # every entry -inf: NaN on both sides
     else:
         z[::2] = -0.0
-    # contiguous, and every other column of a wider array: a strided
-    # result holds the short-row path's per-row buffers too
-    wide = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
-    strided = wide[..., ::2]
-    for a in (z.copy(), strided):
-        a[...] = z
-        b = z.copy()
-        with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):
+        expected = softmax(z)
+        rows = z.reshape(-1, z.shape[-1])
+        # a contiguous tile, and every other column of a wider one
+        wide = np.empty((rows.shape[1], 2 * rows.shape[0]))
+        for t in (rows.T.copy(), wide[:, ::2]):
+            t[...] = rows.T
+            spare = np.full((min(rows.shape[1], 8), t.shape[1]), np.nan)
+            assert softmax_columns(t, spare) is t
+            np.testing.assert_array_equal(t.T.reshape(z.shape).view(np.uint64),
+                                          expected.view(np.uint64))
+        wide = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+        for a in (z.copy(), wide[..., ::2]):
+            a[...] = z
             got = softmax(a, overwrite=overwrite)
-            expected = _softmax_row_by_row_max(b, overwrite=overwrite)
-        assert got.shape == z.shape
-        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
-        np.testing.assert_array_equal(a.view(np.uint64),
-                                      (got if overwrite else z).view(np.uint64))
+            assert got.shape == z.shape
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+            np.testing.assert_array_equal(a.view(np.uint64),
+                                          (got if overwrite else z).view(np.uint64))
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (5, 1), (7, 4), (3000, 64), (20000, 16)])
-def test_row_minimum_positive_is_the_all_active_test(shape):
-    """mse_decomposition's column-wise all-active test against
-    np.all(z > 0, axis=1), with NaN, +-0 and rows over several tiles."""
-    rng = np.random.default_rng(shape[0] + shape[1])
-    z = rng.normal(loc=1.0, size=shape)
-    z[::3, 0] = -0.0
-    z[1::4, -1] = 0.0
-    z[2::5, shape[1] // 2] = np.nan
-    z[3::6] = np.abs(z[3::6]) + 0.5  # all positive rows
-    np.testing.assert_array_equal(row_reduce(np.minimum, z) > 0, np.all(z > 0, axis=1))
+def test_column_sums_equal_numpy_row_sums_bit_for_bit():
+    # every width a receiver has, on tiles of 1 to 19 columns
+    rng = np.random.default_rng(11)
+    for width in range(1, 65):
+        for k in (1, 8, 19):
+            t = np.exp(rng.normal(scale=4.0, size=(width, k)))
+            spare = np.full((min(width, 8), k), np.nan)
+            expected = np.add.reduce(t.T.copy(), axis=-1)
+            got = column_sums(t, spare)
+            assert got.tobytes() == expected.tobytes(), f"width {width}, {k} columns"
 
 
 def test_power_normalize_hand_values():

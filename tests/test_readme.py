@@ -1,10 +1,13 @@
-"""The README's Python examples run exactly as written, and its commands
-parse."""
+"""The README's Python examples run exactly as written, its commands parse,
+and the package names it cites exist."""
 
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import aecomm
 from aecomm import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -28,3 +31,20 @@ def test_readme_commands_parse():
     assert len(lines) >= 8
     for line in lines:
         cli.parse_args(shlex.split(line)[1:])  # parsed only, nothing is run
+
+
+def test_readme_names_resolve():
+    # every backticked `module.name` (or `module.name(...)`, `module.A.b`)
+    # whose module is an aecomm module names an attribute of that module
+    modules = {info.name for info in pkgutil.iter_modules(aecomm.__path__)}
+    cited = re.findall(r"`(\w+)((?:\.\w+)+)", README.read_text())
+    cited = [(module, path) for module, path in cited if module in modules]
+    assert cited
+    missing = []
+    for module, path in cited:
+        obj = importlib.import_module(f"aecomm.{module}")
+        for attr in path[1:].split("."):
+            obj = getattr(obj, attr, missing)
+        if obj is missing:
+            missing.append(module + path)
+    assert not missing, f"README cites names aecomm lacks: {sorted(set(missing))}"
